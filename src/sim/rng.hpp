@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -146,9 +147,9 @@ class RngStream {
   /// In-place sampling core: selects min(n, pool.size()) elements into
   /// the prefix of `pool`, uniformly without replacement and in random
   /// order, and returns how many were selected. Callers that already own
-  /// a scratch vector avoid the copy sample() makes. The draw sequence
-  /// is exactly sample()'s for the same pool and n, so swapping one for
-  /// the other cannot change downstream bytes.
+  /// a scratch vector reuse it instead of a fresh sample() result. The
+  /// draw sequence is exactly sample()'s for the same pool and n, so
+  /// swapping one for the other cannot change downstream bytes.
   template <typename T>
   std::size_t sample_prefix(std::span<T> pool, std::size_t n) {
     if (n >= pool.size()) {
@@ -166,15 +167,51 @@ class RngStream {
 
   /// Samples up to n distinct elements from items, uniformly without
   /// replacement, in random order (so truncating the result keeps it an
-  /// unbiased sample).
+  /// unbiased sample). Draw for draw this is sample_prefix() on a copy of
+  /// items. A small n from a larger pool (an estimator cache, a
+  /// bootstrap registry) runs that partial Fisher-Yates sparsely instead:
+  /// it records only the positions its swaps displaced and never copies
+  /// the pool.
   template <typename T>
   std::vector<T> sample(std::span<const T> items, std::size_t n) {
-    std::vector<T> pool(items.begin(), items.end());
-    pool.resize(sample_prefix(std::span<T>(pool), n));
-    return pool;
+    if (n >= items.size() || n > kSparseSampleMax) {
+      std::vector<T> pool(items.begin(), items.end());
+      pool.resize(sample_prefix(std::span<T>(pool), n));
+      return pool;
+    }
+    // displaced[k] = {position, index of the item the swaps moved there};
+    // a position not listed still holds its own item.
+    std::array<std::pair<std::size_t, std::size_t>, kSparseSampleMax>
+        displaced{};
+    std::size_t displaced_count = 0;
+    const auto item_at = [&](std::size_t pos) {
+      for (std::size_t k = 0; k < displaced_count; ++k) {
+        if (displaced[k].first == pos) return displaced[k].second;
+      }
+      return pos;
+    };
+    std::vector<T> out;
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t j = i + static_cast<std::size_t>(uniform(items.size() - i));
+      const std::size_t picked = item_at(j);
+      out.push_back(items[picked]);
+      if (j == i) continue;
+      // Position i is never read again; j now holds what i held.
+      const std::size_t moved = item_at(i);
+      std::size_t k = 0;
+      while (k < displaced_count && displaced[k].first != j) ++k;
+      if (k == displaced_count) ++displaced_count;
+      displaced[k] = {j, moved};
+    }
+    return out;
   }
 
  private:
+  // Largest n sample() draws without copying the pool; the displaced
+  // list is scanned linearly, so it stays small.
+  static constexpr std::size_t kSparseSampleMax = 16;
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

@@ -370,6 +370,37 @@ TEST(Rng, SampleFromEmptyPool) {
   EXPECT_TRUE(r.sample(std::span<const int>(pool), 5).empty());
 }
 
+// sample() draws small samples without copying the pool; whichever path
+// it takes, it must pick exactly what sample_prefix() picks on a copy and
+// leave the stream in the same state, or every downstream byte moves.
+TEST(Rng, SampleMatchesSamplePrefixDrawForDraw) {
+  for (const std::size_t size : {0, 1, 2, 9, 10, 11, 16, 17, 441, 2000}) {
+    std::vector<int> distinct(size);
+    std::iota(distinct.begin(), distinct.end(), 0);
+    std::vector<int> repeated(size);  // duplicate values: 0, 0, 1, 1, ...
+    for (std::size_t i = 0; i < size; ++i) {
+      repeated[i] = static_cast<int>(i / 2);
+    }
+    std::vector<std::size_t> ns{0, 1, 9, 10, 16, 17, size, size + 5};
+    if (size > 0) ns.push_back(size - 1);
+    for (const auto* pool : {&distinct, &repeated}) {
+      for (const std::size_t n : ns) {
+        for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+          RngStream a(seed * 1000003 + size);
+          RngStream b = a;
+          const auto picked = a.sample(std::span<const int>(*pool), n);
+          std::vector<int> copy = *pool;
+          copy.resize(b.sample_prefix(std::span<int>(copy), n));
+          ASSERT_EQ(picked, copy) << "size " << size << " n " << n
+                                  << " seed " << seed;
+          ASSERT_EQ(a.next_u64(), b.next_u64())
+              << "size " << size << " n " << n << " seed " << seed;
+        }
+      }
+    }
+  }
+}
+
 // Property sweep: sample() hits every element eventually (uniformity
 // smoke test across pool sizes).
 class RngSampleSweep : public ::testing::TestWithParam<std::size_t> {};
