@@ -58,6 +58,10 @@ ForwardResp ForwardResp::decode(wire::Reader& r) {
 bool NatIdResponder::on_message(net::NodeId from, const net::Message& msg) {
   switch (msg.type()) {
     case kMatchingIpTest: {
+      // A client that left (churn) while its test was in flight has no
+      // address to report. Drop the test before drawing from rng_, so
+      // runs that never hit this case keep their bytes.
+      if (!network_.attached(from)) return true;
       const auto& test = static_cast<const MatchingIpTest&>(msg);
       // Pick a forwarder that is public, is not us, and is not any node
       // the client is probing (its NAT may hold mappings toward those). A

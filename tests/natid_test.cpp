@@ -143,6 +143,25 @@ TEST(NatId, ParallelProbesStillDecideOnce) {
   EXPECT_EQ(h.client_node.client->result(), net::NatType::Public);
 }
 
+// Churn can take a client away while its MatchingIpTest is in flight;
+// the responders must drop the test rather than look up the address of
+// a node that has left, and the world must run on.
+TEST(NatId, ClientLeavingMidTestIsDropped) {
+  Harness h(4);
+  const net::NodeId id = 1000;
+  h.network->attach(id, net::NatConfig::natted(), h.client_node);
+  h.client_node.client = std::make_unique<NatIdClient>(
+      id, *h.network, h.bootstrap, sim::RngStream(77), NatIdClient::Config{},
+      [&h](net::NatType t) { h.outcome = t; });
+  h.client_node.client->start();
+  h.sim.run_until(sim::msec(10));  // tests sent, none delivered yet
+  h.network->detach(id);
+  h.client_node.client.reset();
+  h.sim.run_until(sim::sec(30));
+  EXPECT_TRUE(h.sim.idle());
+  EXPECT_FALSE(h.outcome.has_value());
+}
+
 TEST(NatId, MessageRoundTrips) {
   MatchingIpTest t;
   t.probed = {1, 2, 3};
