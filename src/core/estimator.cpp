@@ -10,21 +10,21 @@ namespace croupier::core {
 namespace {
 
 // Quantizes an exact hit count pair into two bytes, scaling proportionally
-// so the encoded ratio matches the exact one to ~1/255.
-std::pair<std::uint8_t, std::uint8_t> quantize(std::uint32_t pub,
-                                               std::uint32_t priv) {
-  const std::uint32_t largest = std::max(pub, priv);
+// so the byte ratio matches the exact one to ~1/255.
+std::pair<std::uint8_t, std::uint8_t> quantize(std::uint64_t pub,
+                                               std::uint64_t priv) {
+  const std::uint64_t largest = std::max(pub, priv);
   if (largest <= 0xff) {
     return {static_cast<std::uint8_t>(pub), static_cast<std::uint8_t>(priv)};
   }
   const double scale = 255.0 / static_cast<double>(largest);
-  auto squeeze = [scale](std::uint32_t v) {
+  auto squeeze = [scale](std::uint64_t v) {
     const auto scaled =
-        static_cast<std::uint32_t>(std::lround(static_cast<double>(v) * scale));
+        static_cast<std::uint64_t>(std::lround(static_cast<double>(v) * scale));
     // Never round a nonzero count down to zero: that would erase the
-    // minority class entirely from the encoded ratio.
-    return static_cast<std::uint8_t>(
-        std::clamp<std::uint32_t>(v > 0 ? std::max(scaled, 1u) : 0u, 0u, 255u));
+    // minority class entirely from the shared ratio.
+    return static_cast<std::uint8_t>(std::clamp<std::uint64_t>(
+        v > 0 ? std::max<std::uint64_t>(scaled, 1) : 0, 0, 255));
   };
   return {squeeze(pub), squeeze(priv)};
 }
@@ -36,15 +36,14 @@ void encode(wire::Writer& w, const EstimateEntry& e) {
   // experiment. Worlds past 64Ki publics (the fig3 --mega sweep) escape
   // through the 0xffff sentinel to a 4 B id; origins below the sentinel
   // encode byte-identically to the fixed 2 B format.
-  const auto [pub, priv] = quantize(e.pub_hits, e.priv_hits);
   if (e.origin < 0xffff) {
     w.u16(static_cast<std::uint16_t>(e.origin));
   } else {
     w.u16(0xffff);
     w.u32(e.origin);
   }
-  w.u8(pub);
-  w.u8(priv);
+  w.u8(e.pub_hits);
+  w.u8(e.priv_hits);
   w.u8(static_cast<std::uint8_t>(std::min<std::uint16_t>(e.age, 0xff)));
 }
 
@@ -130,10 +129,9 @@ void RatioEstimator::merge(std::span<const EstimateEntry> entries) {
 }
 
 std::optional<EstimateEntry> RatioEstimator::own_entry() const {
-  if (type_ != net::NatType::Public) return std::nullopt;
-  if (window_pub_ + window_priv_ == 0) return std::nullopt;
-  return EstimateEntry{self_, static_cast<std::uint32_t>(window_pub_),
-                       static_cast<std::uint32_t>(window_priv_), 0};
+  if (!local_estimate().has_value()) return std::nullopt;
+  const auto [pub, priv] = quantize(window_pub_, window_priv_);
+  return EstimateEntry{self_, pub, priv, 0};
 }
 
 std::vector<EstimateEntry> RatioEstimator::share(sim::RngStream& rng) const {
@@ -162,9 +160,10 @@ double RatioEstimator::estimate() const {
 }
 
 std::optional<double> RatioEstimator::local_estimate() const {
-  const auto own = own_entry();
-  if (!own.has_value()) return std::nullopt;
-  return own->ratio();
+  if (type_ != net::NatType::Public) return std::nullopt;
+  const std::uint64_t total = window_pub_ + window_priv_;
+  if (total == 0) return std::nullopt;
+  return static_cast<double>(window_pub_) / static_cast<double>(total);
 }
 
 }  // namespace croupier::core

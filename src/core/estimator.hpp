@@ -16,10 +16,13 @@
 // Wire format per shared entry is 5 bytes (paper §VI: 2 B origin id, 1 B
 // public hits, 1 B private hits, 1 B age); origins past 16 bits —
 // million-node worlds — escape to 4 B through the 0xffff sentinel
-// without perturbing a single byte of smaller worlds. Internal counts
-// are exact;
-// encoding quantizes proportionally into the byte range, which preserves
-// the ratio to ~1/255 — noise that averages out across M.
+// without perturbing a single byte of smaller worlds. Counts are 1 byte
+// from the source on: a node's own window sums are exact, but the entry
+// it shares is quantized proportionally into the byte range (ratio kept
+// to ~1/255, noise that averages out across M), so receivers cache and
+// average exactly what the wire would carry. In memory an entry is 8
+// bytes, which keeps the per-node cache scans of merge/begin_round/
+// estimate — the estimator's whole cost — at half the cache lines.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +36,12 @@
 
 namespace croupier::core {
 
-/// One node's local estimate as it travels between nodes.
+/// One node's local estimate as it travels between nodes, with the
+/// wire's 1-byte hit counts.
 struct EstimateEntry {
   net::NodeId origin = net::kNilNode;
-  std::uint32_t pub_hits = 0;
-  std::uint32_t priv_hits = 0;
+  std::uint8_t pub_hits = 0;
+  std::uint8_t priv_hits = 0;
   std::uint16_t age = 0;  // rounds since the origin computed it
 
   /// The ratio this entry encodes: E_i of equation (6).
@@ -48,6 +52,7 @@ struct EstimateEntry {
 
   friend bool operator==(const EstimateEntry&, const EstimateEntry&) = default;
 };
+static_assert(sizeof(EstimateEntry) == 8);
 
 /// Bytes one estimate entry occupies on the wire (paper §VI).
 constexpr std::size_t kEstimateWireBytes = 5;
@@ -83,8 +88,9 @@ class RatioEstimator {
   void merge(std::span<const EstimateEntry> entries);
 
   /// The bounded random subset of cached estimates to piggy-back on an
-  /// outgoing shuffle message; includes this node's own local estimate
-  /// when one exists (public nodes). At most `share_limit` entries.
+  /// outgoing shuffle message; includes this node's own local estimate,
+  /// quantized to the wire's byte counts, when one exists (public
+  /// nodes). At most `share_limit` entries.
   [[nodiscard]] std::vector<EstimateEntry> share(sim::RngStream& rng) const;
 
   /// Ê(ω) per equations (8)/(9). Falls back to 0.5 when no information is
@@ -92,7 +98,8 @@ class RatioEstimator {
   [[nodiscard]] double estimate() const;
 
   /// E_i: this node's own window estimate, if it has received any shuffle
-  /// requests within the window (public nodes only).
+  /// requests within the window (public nodes only). Exact: only the
+  /// copy shared with other nodes is quantized.
   [[nodiscard]] std::optional<double> local_estimate() const;
 
   /// Introspection (tests, diagnostics).

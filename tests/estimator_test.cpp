@@ -36,24 +36,34 @@ TEST(EstimateEntry, RoundTripSmallCounts) {
   EXPECT_EQ(back, (EstimateEntry{7, 10, 40, 3}));
 }
 
+// Hit counts are quantized where an entry is made: a public node shares
+// its window sums already squeezed into the wire's byte range, while its
+// own estimate stays exact.
+EstimateEntry shared_own_entry(int pub, int priv) {
+  RatioEstimator e(7, net::NatType::Public, cfg());
+  for (int i = 0; i < pub; ++i) e.count_request(net::NatType::Public);
+  for (int i = 0; i < priv; ++i) e.count_request(net::NatType::Private);
+  e.begin_round();
+  sim::RngStream rng(1);
+  const auto shared = e.share(rng);
+  EXPECT_EQ(shared.size(), 1u);
+  EXPECT_DOUBLE_EQ(*e.local_estimate(),
+                   static_cast<double>(pub) / static_cast<double>(pub + priv));
+  return shared.empty() ? EstimateEntry{} : shared[0];
+}
+
 TEST(EstimateEntry, QuantizationPreservesRatio) {
-  // 100 / 400 exceeds the byte range on the private side; encoding must
-  // scale both counts, keeping the ratio at 0.2 within 1/255.
-  wire::Writer w;
-  encode(w, EstimateEntry{7, 100, 400, 0});
-  wire::Reader r(w.data());
-  const auto back = decode_estimate(r);
-  EXPECT_LE(back.pub_hits, 255u);
-  EXPECT_LE(back.priv_hits, 255u);
-  EXPECT_NEAR(back.ratio(), 0.2, 1.0 / 255.0);
+  // 100 / 400 exceeds the byte range on the private side; both counts
+  // must scale, keeping the ratio at 0.2 within 1/255.
+  const auto own = shared_own_entry(100, 400);
+  EXPECT_EQ(own.origin, 7u);
+  EXPECT_NEAR(own.ratio(), 0.2, 1.0 / 255.0);
 }
 
 TEST(EstimateEntry, QuantizationNeverErasesMinority) {
-  wire::Writer w;
-  encode(w, EstimateEntry{7, 1, 10000, 0});
-  wire::Reader r(w.data());
-  const auto back = decode_estimate(r);
-  EXPECT_GE(back.pub_hits, 1u);  // minority class must survive
+  const auto own = shared_own_entry(1, 10000);
+  EXPECT_GE(own.pub_hits, 1u);  // minority class must survive
+  EXPECT_EQ(own.priv_hits, 255u);
 }
 
 TEST(EstimateEntry, WideOriginEscapesWithoutPerturbingNarrowOnes) {
