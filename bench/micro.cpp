@@ -53,7 +53,9 @@ void BM_RngSample(benchmark::State& state) {
     benchmark::DoNotOptimize(s);
   }
 }
-BENCHMARK(BM_RngSample)->Arg(10)->Arg(100);
+// 441 is the mean estimator cache at 10^4 nodes (the share() pool);
+// 2000 a bootstrap registry.
+BENCHMARK(BM_RngSample)->Arg(10)->Arg(100)->Arg(441)->Arg(2000);
 
 void BM_ShuffleMessageEncode(benchmark::State& state) {
   core::CroupierShuffleReq req;
@@ -137,17 +139,35 @@ void BM_ViewMergeSwapper(benchmark::State& state) {
 BENCHMARK(BM_ViewMergeSwapper);
 
 void BM_EstimatorRound(benchmark::State& state) {
+  // One public node-round at the 10^4-node steady state: a 441-entry
+  // neighbour cache (the measured mean), one shuffle's worth of fresh
+  // entries merged, one share() and one estimate. Each batch refreshes
+  // the next 10 origins, so every origin comes back within 45 rounds,
+  // before γ = 50 expires it, and the cache stays at 441.
+  constexpr net::NodeId kCached = 441;
   core::RatioEstimator est(1, net::NatType::Public, {25, 50, 10});
   sim::RngStream rng(1);
   std::vector<core::EstimateEntry> incoming;
-  for (net::NodeId i = 2; i < 12; ++i) incoming.push_back({i, 10, 40, 1});
+  for (net::NodeId i = 0; i < kCached; ++i) {
+    incoming.push_back({2 + i, 10, 40, 0});
+  }
+  est.merge(incoming);
+  incoming.resize(10);
+  net::NodeId next = 0;
   for (auto _ : state) {
     est.count_request(net::NatType::Private);
     est.count_request(net::NatType::Public);
     est.begin_round();
+    for (auto& e : incoming) {
+      e.origin = 2 + next;
+      next = (next + 1) % kCached;
+    }
     est.merge(incoming);
+    auto shared = est.share(rng);
+    benchmark::DoNotOptimize(shared);
     benchmark::DoNotOptimize(est.estimate());
   }
+  state.counters["cached"] = static_cast<double>(est.cached_count());
 }
 BENCHMARK(BM_EstimatorRound);
 

@@ -21,8 +21,8 @@
 // it shares is quantized proportionally into the byte range (ratio kept
 // to ~1/255, noise that averages out across M), so receivers cache and
 // average exactly what the wire would carry. In memory an entry is 8
-// bytes, which keeps the per-node cache scans of merge/begin_round/
-// estimate — the estimator's whole cost — at half the cache lines.
+// bytes: merge, begin_round and estimate each scan the whole neighbour
+// cache, and their cost is the cache lines they touch.
 #pragma once
 
 #include <cstdint>

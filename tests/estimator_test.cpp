@@ -1,5 +1,6 @@
 // Ratio estimator tests: the maths of paper equations (1)-(9) on
-// hand-computed cases, window semantics for α and γ, wire quantization.
+// hand-computed cases, window semantics for α and γ, the wire format and
+// quantization at the source.
 #include <gtest/gtest.h>
 
 #include <algorithm>
