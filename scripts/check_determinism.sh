@@ -134,6 +134,35 @@ if [ -x "$LAB" ]; then
   check_same "croupier-lab-randomness" "rand.j1" "rand.w4" || ok=0
   [ "$ok" = 1 ] && \
     echo "ok   croupier-lab randomness eclipse/natflap/adversary (jobs 1/4, world-jobs 1/4)"
+
+  # The exact and the sampled overlay-graph recorders share the lab's one
+  # column fold with every other record kind; their sweeps must honour
+  # the same determinism contracts on both parallelism axes.
+  graph_flags=(
+    --spec="protocol=croupier nodes=250 ratio=0.2 record=graph record-every=5 duration=60"
+    --spec="protocol=cyclon nodes=250 ratio=0.2 churn=0.01 churn-at=20 record=graph duration=60"
+    --runs=2)
+  run_config "$LAB" "graph.j1" "${graph_flags[@]}" --jobs=1 --world-jobs=1
+  run_config "$LAB" "graph.j4" "${graph_flags[@]}" --jobs=4 --world-jobs=1
+  run_config "$LAB" "graph.w4" "${graph_flags[@]}" --jobs=4 --world-jobs=4
+  ok=1
+  check_same "croupier-lab-graph" "graph.j1" "graph.j4" || ok=0
+  check_same "croupier-lab-graph" "graph.j1" "graph.w4" || ok=0
+  [ "$ok" = 1 ] && \
+    echo "ok   croupier-lab record=graph (jobs 1/4, world-jobs 1/4)"
+
+  sampled_flags=(
+    --spec="protocol=croupier nodes=300 ratio=0.2 record=graph-sampled record-every=5 duration=60"
+    --spec="protocol=gozar nodes=300 ratio=0.2 catastrophe=0.3 catastrophe-at=30 record=graph-sampled duration=60"
+    --runs=2)
+  run_config "$LAB" "sampled.j1" "${sampled_flags[@]}" --jobs=1 --world-jobs=1
+  run_config "$LAB" "sampled.j4" "${sampled_flags[@]}" --jobs=4 --world-jobs=1
+  run_config "$LAB" "sampled.w4" "${sampled_flags[@]}" --jobs=4 --world-jobs=4
+  ok=1
+  check_same "croupier-lab-graph-sampled" "sampled.j1" "sampled.j4" || ok=0
+  check_same "croupier-lab-graph-sampled" "sampled.j1" "sampled.w4" || ok=0
+  [ "$ok" = 1 ] && \
+    echo "ok   croupier-lab record=graph-sampled (jobs 1/4, world-jobs 1/4)"
 else
   echo "FAIL croupier-lab binary missing at $LAB"
   fail=1

@@ -69,6 +69,23 @@ class Network {
     std::uint64_t fragments_lost = 0;  // loss + NAT-filtered + dead receiver
     std::uint64_t fragments_reassembled = 0;  // consumed by completed messages
     std::uint64_t fragments_expired = 0;      // dropped by reassembly GC
+
+    /// Field-wise sum, so totals over trials cannot miss a counter.
+    DropStats& operator+=(const DropStats& o) {
+      loss += o.loss;
+      nat_filtered += o.nat_filtered;
+      dead_receiver += o.dead_receiver;
+      delivered += o.delivered;
+      loss_bytes += o.loss_bytes;
+      nat_filtered_bytes += o.nat_filtered_bytes;
+      dead_receiver_bytes += o.dead_receiver_bytes;
+      delivered_bytes += o.delivered_bytes;
+      fragments_sent += o.fragments_sent;
+      fragments_lost += o.fragments_lost;
+      fragments_reassembled += o.fragments_reassembled;
+      fragments_expired += o.fragments_expired;
+      return *this;
+    }
   };
 
   /// `loss` may be nullptr (a loss-free network: the loss die is never

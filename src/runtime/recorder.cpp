@@ -6,6 +6,54 @@
 
 namespace croupier::run {
 
+namespace {
+
+constexpr Column kEstimationColumns[] = {
+    {"avg-error", "%.6f", Summary::SteadyMean, "avg-err", "%.5f"},
+    {"max-error", "%.6f", Summary::SteadyMean, "max-err", "%.5f"},
+};
+
+constexpr Column kGraphColumns[] = {
+    {"avg-path-length", "%.4f", Summary::Final, "apl", "%.3f"},
+    {"clustering-coefficient", "%.5f", Summary::Final, "cc", "%.4f"},
+};
+
+constexpr Column kSampledGraphColumns[] = {
+    {"avg-path-length", "%.4f", Summary::Final, "apl", "%.3f"},
+    {"clustering-coefficient", "%.5f", Summary::Final, "cc", "%.4f"},
+    {"in-degree-cv", "%.4f"},
+    {"largest-component", "%.4f", Summary::Final, "largest-component",
+     "%.4f"},
+};
+
+/// The three normalized statistics whose honest-case expectations are
+/// known in closed form (chi2 z ~ 0, repeat ratio ~ 1, bias ratio ~ 1).
+constexpr Column kRandomnessColumns[] = {
+    {"indegree-chi2-z", "%.4f", Summary::Final, "chi2-z", "%.3f"},
+    {"repeat-ratio", "%.4f", Summary::Final, "repeat-ratio", "%.4f"},
+    {"bias-ratio", "%.4f", Summary::Final, "bias-ratio", "%.4f"},
+};
+
+}  // namespace
+
+Recorder::Recorder(World& world, sim::Duration interval,
+                   std::span<const Column> columns)
+    : world_(world), interval_(interval), columns_(columns) {
+  CROUPIER_ASSERT(interval_ > 0);
+}
+
+void Recorder::start(sim::SimTime at) {
+  CROUPIER_ASSERT(!running_);
+  running_ = true;
+  world_.simulator().schedule_at(at, [this] { tick(); });
+}
+
+void Recorder::tick() {
+  if (!running_) return;
+  record_sample();
+  world_.simulator().schedule_after(interval_, [this] { tick(); });
+}
+
 bool EstimationRecorder::write_csv(const std::string& path) const {
   std::ofstream out(path);
   if (!out) return false;
@@ -31,39 +79,22 @@ bool GraphStatsRecorder::write_csv(const std::string& path) const {
 }
 
 EstimationRecorder::EstimationRecorder(World& world, Options opt)
-    : world_(world), opt_(opt) {
-  CROUPIER_ASSERT(opt_.interval > 0);
-}
+    : SeriesRecorder(world, opt.interval, kEstimationColumns), opt_(opt) {}
 
-void EstimationRecorder::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  world_.simulator().schedule_at(at, [this] { tick(); });
-}
-
-void EstimationRecorder::tick() {
-  if (!running_) return;
+void EstimationRecorder::record_sample() {
   const auto estimates = world_.ratio_estimates(opt_.min_rounds);
   metrics::ErrorPoint point;
   point.t_seconds = sim::to_seconds(world_.simulator().now());
   point.sample = metrics::estimation_errors(estimates, world_.true_ratio());
   series_.push_back(point);
-  world_.simulator().schedule_after(opt_.interval, [this] { tick(); });
 }
 
 GraphStatsRecorder::GraphStatsRecorder(World& world, Options opt)
-    : world_(world), opt_(opt), rng_(world.scenario_rng().fork(0x6EA9)) {
-  CROUPIER_ASSERT(opt_.interval > 0);
-}
+    : SeriesRecorder(world, opt.interval, kGraphColumns),
+      opt_(opt),
+      rng_(world.scenario_rng().fork(0x6EA9)) {}
 
-void GraphStatsRecorder::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  world_.simulator().schedule_at(at, [this] { tick(); });
-}
-
-void GraphStatsRecorder::tick() {
-  if (!running_) return;
+void GraphStatsRecorder::record_sample() {
   const auto graph = world_.snapshot_overlay();
   GraphStatsPoint point;
   point.t_seconds = sim::to_seconds(world_.simulator().now());
@@ -73,27 +104,16 @@ void GraphStatsRecorder::tick() {
       rng_, opt_.path_length_sources, &point.unreachable_fraction);
   point.clustering_coefficient = graph.avg_clustering_coefficient();
   series_.push_back(point);
-  world_.simulator().schedule_after(opt_.interval, [this] { tick(); });
 }
 
 SampledGraphStatsRecorder::SampledGraphStatsRecorder(World& world,
                                                      Options opt)
-    : world_(world),
-      opt_(opt),
+    : SeriesRecorder(world, opt.interval, kSampledGraphColumns),
       rng_(world.scenario_rng().fork(0x6EAB)),
-      estimator_(opt.estimator) {
-  CROUPIER_ASSERT(opt_.interval > 0);
-}
+      estimator_(opt.estimator),
+      kill_epoch_(world.kill_count()) {}
 
-void SampledGraphStatsRecorder::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  kill_epoch_ = world_.kill_count();
-  world_.simulator().schedule_at(at, [this] { tick(); });
-}
-
-void SampledGraphStatsRecorder::tick() {
-  if (!running_) return;
+void SampledGraphStatsRecorder::record_sample() {
   if (world_.kill_count() != kill_epoch_) {
     kill_epoch_ = world_.kill_count();
     estimator_.reset_accumulators();
@@ -115,37 +135,12 @@ void SampledGraphStatsRecorder::tick() {
       world_.gossiping_count(), neighbors, is_vertex, rng_);
   point.t_seconds = sim::to_seconds(world_.simulator().now());
   series_.push_back(point);
-  world_.simulator().schedule_after(opt_.interval, [this] { tick(); });
-}
-
-bool SampledGraphStatsRecorder::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "t_seconds,avg_path_length,clustering,unreachable,in_degree_cv,"
-         "largest_component,component_nodes,nodes,edge_samples,path_pairs\n";
-  for (const auto& p : series_) {
-    out << p.t_seconds << ',' << p.avg_path_length << ','
-        << p.clustering_coefficient << ',' << p.unreachable_fraction << ','
-        << p.in_degree_cv << ',' << p.largest_component_fraction << ','
-        << p.component_nodes << ',' << p.population << ',' << p.edge_samples
-        << ',' << p.path_pairs << '\n';
-  }
-  return static_cast<bool>(out);
 }
 
 RandomnessAuditRecorder::RandomnessAuditRecorder(World& world, Options opt)
-    : world_(world), opt_(opt) {
-  CROUPIER_ASSERT(opt_.interval > 0);
-}
+    : SeriesRecorder(world, opt.interval, kRandomnessColumns) {}
 
-void RandomnessAuditRecorder::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  world_.simulator().schedule_at(at, [this] { tick(); });
-}
-
-void RandomnessAuditRecorder::tick() {
-  if (!running_) return;
+void RandomnessAuditRecorder::record_sample() {
   metrics::RandomnessAuditor::Adjacency adjacency;
   adjacency.reserve(world_.gossiping_count());
   for (const net::NodeId id : world_.sorted_ids()) {
@@ -157,23 +152,6 @@ void RandomnessAuditRecorder::tick() {
                                 world_.true_ratio(),
                                 sim::to_seconds(world_.simulator().now()));
   series_.push_back(point);
-  world_.simulator().schedule_after(opt_.interval, [this] { tick(); });
-}
-
-bool RandomnessAuditRecorder::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "t_seconds,chi2,chi2_z,repeat_observed,repeat_expected,"
-         "repeat_ratio,public_fraction,public_expected,bias_ratio,nodes,"
-         "edges\n";
-  for (const auto& p : series_) {
-    out << p.t_seconds << ',' << p.chi2 << ',' << p.chi2_z << ','
-        << p.repeat_observed << ',' << p.repeat_expected << ','
-        << p.repeat_ratio << ',' << p.public_fraction << ','
-        << p.public_expected << ',' << p.bias_ratio << ',' << p.nodes << ','
-        << p.edges_observed << '\n';
-  }
-  return static_cast<bool>(out);
 }
 
 }  // namespace croupier::run

@@ -10,8 +10,13 @@
 // GraphStatsRecorder: instead of materializing the full overlay every
 // tick it runs the O(sample) streaming estimators (metrics/streaming)
 // against the implicit graph. Selected with record=graph-sampled.
+//
+// Every recorder is a Recorder: besides its typed series it yields the
+// series as named columns, each with its print format and summary rule,
+// which is all croupier-lab needs to fold and print any record kind.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,40 +27,116 @@
 
 namespace croupier::run {
 
+/// How a column condenses into the one scalar a sweep point reports.
+enum class Summary : std::uint8_t {
+  None,        // series only
+  SteadyMean,  // mean of the steady-state tail, reported as "steady NAME"
+  Final,       // last sample, reported as "final NAME"
+};
+
+/// One value column of a recorder's output.
+struct Column {
+  const char* name;    // series label suffix, e.g. "avg-error"
+  const char* format;  // printf format of one value
+  Summary summary = Summary::None;
+  const char* summary_name = nullptr;    // e.g. "avg-err"
+  const char* summary_format = nullptr;  // printf format of the summary
+};
+
+/// A recorded series as columns: sample times plus one vector per Column.
+struct ColumnTable {
+  std::vector<double> t;
+  std::vector<std::vector<double>> values;
+};
+
+/// A periodic sampler on the simulation clock: the first sample at
+/// start(at), then one every interval while the simulation runs.
+class Recorder {
+ public:
+  Recorder(World& world, sim::Duration interval,
+           std::span<const Column> columns);
+  virtual ~Recorder() = default;
+  Recorder(const Recorder&) = delete;
+  Recorder& operator=(const Recorder&) = delete;
+
+  void start(sim::SimTime at);
+  void stop() { running_ = false; }
+  [[nodiscard]] sim::Duration interval() const { return interval_; }
+
+  /// The value columns, in output order.
+  [[nodiscard]] std::span<const Column> columns() const { return columns_; }
+  /// The series so far; `values[i]` belongs to `columns()[i]`.
+  [[nodiscard]] virtual ColumnTable table() const = 0;
+
+ protected:
+  /// Takes one sample at the current simulated time.
+  virtual void record_sample() = 0;
+
+  World& world_;
+
+ private:
+  void tick();
+
+  sim::Duration interval_;
+  std::span<const Column> columns_;
+  bool running_ = false;
+};
+
+/// A Recorder keeping one Point per sample.
+template <typename Point>
+class SeriesRecorder : public Recorder {
+ public:
+  [[nodiscard]] const std::vector<Point>& series() const { return series_; }
+
+  /// The last recorded point (empty-series safe: returns zeros).
+  [[nodiscard]] Point latest() const {
+    return series_.empty() ? Point{} : series_.back();
+  }
+
+  [[nodiscard]] ColumnTable table() const final {
+    ColumnTable out{{}, std::vector<std::vector<double>>(columns().size())};
+    for (const Point& p : series_) {
+      out.t.push_back(p.t_seconds);
+      const std::vector<double> row = values(p);
+      for (std::size_t c = 0; c < row.size(); ++c) {
+        out.values[c].push_back(row[c]);
+      }
+    }
+    return out;
+  }
+
+ protected:
+  using Recorder::Recorder;
+
+  /// One sample's values, in columns() order.
+  [[nodiscard]] virtual std::vector<double> values(const Point& p) const = 0;
+
+  std::vector<Point> series_;
+};
+
 struct EstimationRecorderOptions {
   sim::Duration interval = sim::sec(1);
   std::uint64_t min_rounds = 2;
 };
 
-class EstimationRecorder {
+class EstimationRecorder : public SeriesRecorder<metrics::ErrorPoint> {
  public:
   using Options = EstimationRecorderOptions;
 
   EstimationRecorder(World& world, Options opt = {});
-
-  /// Starts sampling at `at` and every `interval` thereafter (while the
-  /// simulation keeps running).
-  void start(sim::SimTime at);
-  void stop() { running_ = false; }
-
-  [[nodiscard]] const metrics::ErrorSeries& series() const { return series_; }
-
-  /// The last recorded point (empty-series safe: returns zeros).
-  [[nodiscard]] metrics::ErrorPoint latest() const {
-    return series_.empty() ? metrics::ErrorPoint{} : series_.back();
-  }
 
   /// Dumps the series as CSV (t_seconds,avg_error,max_error,truth,nodes).
   /// Returns false if the file could not be written.
   bool write_csv(const std::string& path) const;
 
  private:
-  void tick();
+  void record_sample() override;
+  [[nodiscard]] std::vector<double> values(
+      const metrics::ErrorPoint& p) const override {
+    return {p.sample.avg_error, p.sample.max_error};
+  }
 
-  World& world_;
   Options opt_;
-  bool running_ = false;
-  metrics::ErrorSeries series_;
 };
 
 /// One timestamped snapshot of overlay randomness metrics.
@@ -74,31 +155,25 @@ struct GraphStatsRecorderOptions {
   std::size_t path_length_sources = 128;
 };
 
-class GraphStatsRecorder {
+class GraphStatsRecorder : public SeriesRecorder<GraphStatsPoint> {
  public:
   using Options = GraphStatsRecorderOptions;
 
   GraphStatsRecorder(World& world, Options opt = {});
-
-  void start(sim::SimTime at);
-  void stop() { running_ = false; }
-
-  [[nodiscard]] const std::vector<GraphStatsPoint>& series() const {
-    return series_;
-  }
 
   /// Dumps the series as CSV
   /// (t_seconds,avg_path_length,clustering,unreachable,nodes,edges).
   bool write_csv(const std::string& path) const;
 
  private:
-  void tick();
+  void record_sample() override;
+  [[nodiscard]] std::vector<double> values(
+      const GraphStatsPoint& p) const override {
+    return {p.avg_path_length, p.clustering_coefficient};
+  }
 
-  World& world_;
   Options opt_;
-  bool running_ = false;
   sim::RngStream rng_;
-  std::vector<GraphStatsPoint> series_;
 };
 
 struct SampledGraphStatsRecorderOptions {
@@ -110,38 +185,24 @@ struct SampledGraphStatsRecorderOptions {
 /// to snapshot. Cross-tick accumulators (in-degree hits, component
 /// tracking) reset automatically when nodes die — the observations
 /// describe a graph that no longer exists.
-class SampledGraphStatsRecorder {
+class SampledGraphStatsRecorder
+    : public SeriesRecorder<metrics::StreamingGraphStats> {
  public:
   using Options = SampledGraphStatsRecorderOptions;
   using Point = metrics::StreamingGraphStats;
 
   SampledGraphStatsRecorder(World& world, Options opt = {});
 
-  void start(sim::SimTime at);
-  void stop() { running_ = false; }
-
-  [[nodiscard]] const std::vector<Point>& series() const { return series_; }
-
-  /// The last recorded point (empty-series safe: returns zeros).
-  [[nodiscard]] Point latest() const {
-    return series_.empty() ? Point{} : series_.back();
+ private:
+  void record_sample() override;
+  [[nodiscard]] std::vector<double> values(const Point& p) const override {
+    return {p.avg_path_length, p.clustering_coefficient, p.in_degree_cv,
+            p.largest_component_fraction};
   }
 
-  /// Dumps the series as CSV (t_seconds,avg_path_length,clustering,
-  /// unreachable,in_degree_cv,largest_component,component_nodes,nodes,
-  /// edge_samples,path_pairs).
-  bool write_csv(const std::string& path) const;
-
- private:
-  void tick();
-
-  World& world_;
-  Options opt_;
-  bool running_ = false;
   sim::RngStream rng_;
   metrics::StreamingGraphEstimator estimator_;
   std::uint64_t kill_epoch_ = 0;
-  std::vector<Point> series_;
 };
 
 struct RandomnessRecorderOptions {
@@ -156,37 +217,21 @@ struct RandomnessRecorderOptions {
 /// are pruned by the auditor, not by epoch reset: under the eclipse and
 /// churn scenarios the *surviving* population's accumulated skew is
 /// exactly the signal.
-class RandomnessAuditRecorder {
+class RandomnessAuditRecorder
+    : public SeriesRecorder<metrics::RandomnessPoint> {
  public:
   using Options = RandomnessRecorderOptions;
 
   RandomnessAuditRecorder(World& world, Options opt = {});
 
-  void start(sim::SimTime at);
-  void stop() { running_ = false; }
-
-  [[nodiscard]] const std::vector<metrics::RandomnessPoint>& series() const {
-    return series_;
-  }
-
-  /// The last recorded point (empty-series safe: returns zeros).
-  [[nodiscard]] metrics::RandomnessPoint latest() const {
-    return series_.empty() ? metrics::RandomnessPoint{} : series_.back();
-  }
-
-  /// Dumps the series as CSV (t_seconds,chi2,chi2_z,repeat_observed,
-  /// repeat_expected,repeat_ratio,public_fraction,public_expected,
-  /// bias_ratio,nodes,edges).
-  bool write_csv(const std::string& path) const;
-
  private:
-  void tick();
+  void record_sample() override;
+  [[nodiscard]] std::vector<double> values(
+      const metrics::RandomnessPoint& p) const override {
+    return {p.chi2_z, p.repeat_ratio, p.bias_ratio};
+  }
 
-  World& world_;
-  Options opt_;
-  bool running_ = false;
   metrics::RandomnessAuditor auditor_;
-  std::vector<metrics::RandomnessPoint> series_;
 };
 
 }  // namespace croupier::run

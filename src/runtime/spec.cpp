@@ -1,12 +1,17 @@
 #include "runtime/spec.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -16,6 +21,8 @@
 namespace croupier::run {
 
 namespace {
+
+using Spec = ExperimentSpec;
 
 [[noreturn]] void fail(const std::string& message) {
   throw std::invalid_argument(message);
@@ -41,66 +48,41 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-double parse_double(const std::string& key, const std::string& text) {
+/// Parses a whole-token double (finite) or unsigned integer (digits
+/// only), naming `key` in the error.
+template <typename T>
+T parse_number(const std::string& key, const std::string& text) {
   errno = 0;
   char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
-      end != text.c_str() + text.size() || errno == ERANGE ||
-      !std::isfinite(v)) {
+  T v;
+  bool ok = !text.empty();
+  if constexpr (std::is_same_v<T, double>) {
+    v = std::strtod(text.c_str(), &end);
+    ok = ok && !std::isspace(static_cast<unsigned char>(text[0])) &&
+         std::isfinite(v);
+  } else {
+    v = std::strtoull(text.c_str(), &end, 10);
+    ok = ok && std::isdigit(static_cast<unsigned char>(text[0]));
+  }
+  if (!ok || end != text.c_str() + text.size() || errno == ERANGE) {
     fail("spec: malformed value for '" + key + "': \"" + text + "\"");
   }
   return v;
 }
 
-std::size_t parse_size(const std::string& key, const std::string& text) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
-      end != text.c_str() + text.size() || errno == ERANGE) {
-    fail("spec: malformed value for '" + key + "': \"" + text + "\"");
+template <typename Items>
+std::string join(const Items& items, const char* sep) {
+  std::string out;
+  for (const auto& item : items) {
+    if (!out.empty()) out += sep;
+    out += item;
   }
-  return static_cast<std::size_t>(v);
+  return out;
 }
 
-const char* join_name(ExperimentSpec::JoinKind k) {
-  switch (k) {
-    case ExperimentSpec::JoinKind::Poisson: return "poisson";
-    case ExperimentSpec::JoinKind::Fixed: return "fixed";
-    case ExperimentSpec::JoinKind::Instant: return "instant";
-  }
-  return "poisson";
-}
-
-const char* latency_name(World::LatencyKind k) {
-  switch (k) {
-    case World::LatencyKind::King: return "king";
-    case World::LatencyKind::Constant: return "constant";
-    case World::LatencyKind::Coordinate: return "coordinate";
-  }
-  return "king";
-}
-
-const char* record_name(ExperimentSpec::RecordKind k) {
-  switch (k) {
-    case ExperimentSpec::RecordKind::None: return "none";
-    case ExperimentSpec::RecordKind::Estimation: return "estimation";
-    case ExperimentSpec::RecordKind::Graph: return "graph";
-    case ExperimentSpec::RecordKind::GraphSampled: return "graph-sampled";
-    case ExperimentSpec::RecordKind::Randomness: return "randomness";
-  }
-  return "estimation";
-}
-
-const char* corr_name(ExperimentSpec::FailureCorr c) {
-  switch (c) {
-    case ExperimentSpec::FailureCorr::Uniform: return "uniform";
-    case ExperimentSpec::FailureCorr::Region: return "region";
-    case ExperimentSpec::FailureCorr::Public: return "public";
-    case ExperimentSpec::FailureCorr::Private: return "private";
-  }
-  return "region";
+const Spec& defaults() {
+  static const Spec kDefaults;
+  return kDefaults;
 }
 
 /// Splits a composite value ("at:60,frac:0.3,corr:region") into
@@ -133,46 +115,342 @@ std::vector<std::pair<std::string, std::string>> split_subkeys(
 /// Parses a `loss=` value: either the historic uniform scalar or the
 /// structured per-class-pair form. Subkeys name (sender)-(receiver)
 /// class pairs with `any` wildcards; `after:S` delays activation.
-ExperimentSpec::LossSpec parse_loss(const std::string& value) {
-  ExperimentSpec::LossSpec loss;
-  const auto set = [&loss](bool pp, bool pv, bool vp, bool vv, double rate) {
-    if (pp) loss.pub_pub = rate;
-    if (pv) loss.pub_priv = rate;
-    if (vp) loss.priv_pub = rate;
-    if (vv) loss.priv_priv = rate;
-  };
+Spec::LossSpec parse_loss(const std::string& value) {
+  // The rates each pair sets, as bits over {pub-pub, pub-priv, priv-pub,
+  // priv-priv}; the empty pair is the bare uniform shorthand.
+  static constexpr std::pair<const char*, unsigned> kPairs[] = {
+      {"", 0xF},         {"any", 0xF},      {"any-any", 0xF},
+      {"pub-pub", 0x1},  {"pub-priv", 0x2}, {"priv-pub", 0x4},
+      {"priv-priv", 0x8}, {"pub-any", 0x3}, {"priv-any", 0xC},
+      {"any-pub", 0x5},  {"any-priv", 0xA}};
+  Spec::LossSpec loss;
+  double* const rates[] = {&loss.pub_pub, &loss.pub_priv, &loss.priv_pub,
+                           &loss.priv_priv};
   for (const auto& [sub, text] : split_subkeys("loss", value)) {
     if (sub == "after") {
-      loss.after_s = parse_double("loss after", text);
+      loss.after_s = parse_number<double>("loss after", text);
       continue;
     }
-    const double rate = parse_double("loss " + (sub.empty() ? "rate" : sub),
-                                     text);
-    if (sub.empty() || sub == "any-any" || sub == "any") {
-      set(true, true, true, true, rate);
-    } else if (sub == "pub-pub") {
-      set(true, false, false, false, rate);
-    } else if (sub == "pub-priv") {
-      set(false, true, false, false, rate);
-    } else if (sub == "priv-pub") {
-      set(false, false, true, false, rate);
-    } else if (sub == "priv-priv") {
-      set(false, false, false, true, rate);
-    } else if (sub == "pub-any") {
-      set(true, true, false, false, rate);
-    } else if (sub == "priv-any") {
-      set(false, false, true, true, rate);
-    } else if (sub == "any-pub") {
-      set(true, false, true, false, rate);
-    } else if (sub == "any-priv") {
-      set(false, true, false, true, rate);
-    } else {
+    const double rate =
+        parse_number<double>("loss " + (sub.empty() ? "rate" : sub), text);
+    const auto* pair = std::find_if(
+        std::begin(kPairs), std::end(kPairs),
+        [&sub = sub](const auto& p) { return sub == p.first; });
+    if (pair == std::end(kPairs)) {
       fail("spec: loss pair must be one of pub-pub|pub-priv|priv-pub|"
            "priv-priv|pub-any|priv-any|any-pub|any-priv|any (or a bare "
            "uniform rate), got \"" + sub + "\"");
     }
+    for (std::size_t i = 0; i < 4; ++i) {
+      if ((pair->second >> i & 1U) != 0) *rates[i] = rate;
+    }
   }
   return loss;
+}
+
+/// The historic scalar when uniform (byte-identical for every
+/// pre-existing spec), else the non-zero pairs in fixed order.
+std::string format_loss(const Spec::LossSpec& loss) {
+  if (loss.is_uniform()) return fmt_double(loss.pub_pub);
+  const std::pair<const char*, double> parts[] = {
+      {"pub-pub", loss.pub_pub},   {"pub-priv", loss.pub_priv},
+      {"priv-pub", loss.priv_pub}, {"priv-priv", loss.priv_priv},
+      {"after", loss.after_s}};
+  std::string out;
+  for (const auto& [name, v] : parts) {
+    if (v == 0.0) continue;
+    if (!out.empty()) out += ',';
+    out += std::string(name) + ':' + fmt_double(v);
+  }
+  return out;
+}
+
+// ---------------------------------------------------------------------
+// Value codecs, one per field type. Enum and bool fields are spelled by
+// `names`, indexed by underlying value.
+
+using Names = std::vector<const char*>;
+
+template <typename T>
+T decode(const std::string& key, const std::string& text, const Names& names) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return text;
+  } else if constexpr (std::is_same_v<T, double>) {
+    return parse_number<double>(key, text);
+  } else if constexpr (std::is_same_v<T, Spec::LossSpec>) {
+    return parse_loss(text);
+  } else if constexpr (std::is_enum_v<T> || std::is_same_v<T, bool>) {
+    const auto it = std::find(names.begin(), names.end(), text);
+    if (it == names.end()) {
+      fail("spec: " + key + " must be " + join(names, "|") + ", got \"" +
+           text + "\"");
+    }
+    return static_cast<T>(it - names.begin());
+  } else {
+    const auto v = parse_number<unsigned long long>(key, text);
+    if (v > std::numeric_limits<T>::max()) {
+      fail("spec: value for '" + key + "' out of range: \"" + text + "\"");
+    }
+    return static_cast<T>(v);
+  }
+}
+
+template <typename T>
+std::string encode(const T& v, const Names& names) {
+  if constexpr (std::is_same_v<T, std::string>) return v;
+  else if constexpr (std::is_same_v<T, double>) return fmt_double(v);
+  else if constexpr (std::is_same_v<T, Spec::LossSpec>) return format_loss(v);
+  else if constexpr (std::is_enum_v<T> || std::is_same_v<T, bool>) {
+    return names[static_cast<std::size_t>(v)];
+  } else return std::to_string(v);
+}
+
+/// The value grammar shown in help text.
+template <typename T>
+std::string grammar(const Names& names) {
+  if constexpr (std::is_same_v<T, std::string>) return "NAME[:k=v,...]";
+  else if constexpr (std::is_same_v<T, double>) return "X";
+  else if constexpr (std::is_same_v<T, Spec::LossSpec>) {
+    return "P|PAIR:P,...,after:X";
+  } else if constexpr (std::is_enum_v<T> || std::is_same_v<T, bool>) {
+    return join(names, "|");
+  } else return "N";
+}
+
+// ---------------------------------------------------------------------
+// The key table.
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Bounds validate() enforces on a numeric field; unbounded = unchecked.
+struct Range {
+  double lo = -kInf;
+  double hi = kInf;
+  bool lo_open = false;
+  bool hi_open = false;
+
+  [[nodiscard]] bool bounded() const { return lo > -kInf || hi < kInf; }
+  [[nodiscard]] bool contains(double v) const {
+    return (lo_open ? v > lo : v >= lo) && (hi_open ? v < hi : v <= hi);
+  }
+  [[nodiscard]] std::string describe() const {
+    if (hi < kInf) {
+      return std::string("in ") + (lo_open ? "(" : "[") + fmt_double(lo) +
+             ", " + fmt_double(hi) + (hi_open ? ")" : "]");
+    }
+    if (!lo_open) return ">= " + fmt_double(lo);
+    return lo == 0.0 ? "positive" : "> " + fmt_double(lo);
+  }
+};
+
+constexpr Range kNonNegative{0.0};
+constexpr Range kPositive{0.0, kInf, true};
+constexpr Range kUnit{0.0, 1.0};
+constexpr Range kUnitOpen{0.0, 1.0, false, true};
+
+/// One spec field: a scalar key's value or one subkey of a composite,
+/// with its codec bound to the ExperimentSpec member by field<Member>().
+struct Field {
+  const char* sub;  // subkey name; nullptr for a scalar key
+  Range range;
+  Names names;
+  std::string syntax;
+  void (*parse)(const Field&, Spec&, const std::string& label,
+                const std::string& text);
+  std::string (*format)(const Field&, const Spec&);
+  bool (*is_default)(const Spec&);
+  void (*reset)(Spec&);
+  double (*number)(const Spec&);
+};
+
+/// Subkey `sub` of a composite key, bound to ExperimentSpec::*Member.
+template <auto Member>
+Field sub(const char* sub, Range range = {}, Names names = {}) {
+  using T = std::remove_cvref_t<decltype(defaults().*Member)>;
+  return Field{
+      sub, range, names, grammar<T>(names),
+      [](const Field& self, Spec& s, const std::string& label,
+         const std::string& text) {
+        s.*Member = decode<T>(label, text, self.names);
+      },
+      [](const Field& self, const Spec& s) {
+        return encode(s.*Member, self.names);
+      },
+      [](const Spec& s) { return s.*Member == defaults().*Member; },
+      [](Spec& s) { s.*Member = defaults().*Member; },
+      [](const Spec& s) {
+        if constexpr (std::is_arithmetic_v<T>) {
+          return static_cast<double>(s.*Member);
+        } else {
+          return 0.0;  // never range-checked
+        }
+      }};
+}
+
+/// The value of a scalar key.
+template <auto Member>
+Field val(Range range = {}, Names names = {}) {
+  return sub<Member>(nullptr, range, std::move(names));
+}
+
+/// How a key's value is spelled in spec text.
+enum class Form : std::uint8_t {
+  Always,       // scalar, emitted even at its default (identifying keys)
+  Scalar,       // scalar, emitted when it differs from its default
+  Subkeys,      // sub:v list; once any subkey is set, all are emitted
+  SubkeysBare,  // as Subkeys, and a bare value sets the first subkey
+  Sparse,       // bare first subkey while the rest are default, else
+                // only the set subkeys; a bare value sets the first
+};
+
+struct Key {
+  const char* name;
+  Form form;
+  std::vector<Field> fields;
+  const char* doc;
+
+  Key(const char* n, Field value, const char* d, Form f = Form::Scalar)
+      : name(n), form(f), fields{std::move(value)}, doc(d) {}
+  Key(const char* n, Form f, std::vector<Field> subkeys, const char* d)
+      : name(n), form(f), fields(std::move(subkeys)), doc(d) {}
+
+  [[nodiscard]] bool composite() const { return form >= Form::Subkeys; }
+
+  [[nodiscard]] std::string label(const Field& f) const {
+    return f.sub == nullptr ? name : std::string(name) + ' ' + f.sub;
+  }
+
+  void parse(Spec& s, const std::string& value) const {
+    if (!composite()) return fields[0].parse(fields[0], s, name, value);
+    // Repeating a composite key resets it wholesale (last wins).
+    for (const Field& f : fields) f.reset(s);
+    for (const auto& [sub, text] : split_subkeys(name, value)) {
+      const auto it = std::find_if(
+          fields.begin(), fields.end(), [&, &sub = sub](const Field& f) {
+            return sub.empty() ? form != Form::Subkeys && &f == &fields[0]
+                               : sub == f.sub;
+          });
+      if (it == fields.end()) {
+        Names subs;
+        for (const Field& f : fields) subs.push_back(f.sub);
+        fail("spec: " + std::string(name) + " subkey must be " +
+             join(subs, "|") + ", got \"" + sub + "\"");
+      }
+      it->parse(*it, s, label(*it), text);
+    }
+  }
+
+  /// The value text, or nullopt when the key is omitted (at default).
+  [[nodiscard]] std::optional<std::string> format(const Spec& s) const {
+    const auto set = [&s](const Field& f) { return !f.is_default(s); };
+    const auto text = [&s](const Field& f) { return f.format(f, s); };
+    if (form == Form::Always) return text(fields[0]);
+    if (std::none_of(fields.begin(), fields.end(), set)) return std::nullopt;
+    if (!composite() || (form == Form::Sparse &&
+                         std::none_of(fields.begin() + 1, fields.end(), set))) {
+      return text(fields[0]);
+    }
+    std::string out;
+    for (const Field& f : fields) {
+      if (form == Form::Sparse && !set(f)) continue;
+      if (!out.empty()) out += ',';
+      out += std::string(f.sub) + ':' + text(f);
+    }
+    return out;
+  }
+};
+
+/// Every spec key in canonical to_string() order: parse, to_string, the
+/// range checks of validate() and the key docs all read this table.
+const std::vector<Key>& keys() {
+  using enum Form;
+  static const std::vector<Key> kKeys = {
+      {"protocol", val<&Spec::protocol>(), "sampler and its options", Always},
+      {"nodes", val<&Spec::nodes>(Range{1.0}), "population size", Always},
+      {"ratio", val<&Spec::ratio>(kUnit), "public fraction omega", Always},
+      {"join", val<&Spec::join>({}, {"poisson", "fixed", "instant"}),
+       "join process; instant spawns all before t=0"},
+      {"join-public-ms", val<&Spec::join_public_ms>(),
+       "public inter-arrival (poisson mean / fixed), ms"},
+      {"join-private-ms", val<&Spec::join_private_ms>(),
+       "private inter-arrival, ms"},
+      {"step-publics", val<&Spec::step_publics>(),
+       "second join wave: extra public nodes"},
+      {"step-privates", val<&Spec::step_privates>(),
+       "second join wave: extra private nodes"},
+      {"step-at", val<&Spec::step_at_s>(kNonNegative), "second wave start, s"},
+      {"step-every-ms", val<&Spec::step_every_ms>(),
+       "second wave inter-arrival, ms"},
+      {"flash", Subkeys,
+       {sub<&Spec::flash_at_s>("at", kNonNegative),
+        sub<&Spec::flash_publics>("publics"),
+        sub<&Spec::flash_privates>("privates"),
+        sub<&Spec::flash_over_s>("over")},
+       "flash crowd: a join surge ramping up, then down"},
+      {"churn", val<&Spec::churn>(kUnitOpen),
+       "fraction of each class replaced per round"},
+      {"churn-at", val<&Spec::churn_at_s>(kNonNegative), "churn start, s"},
+      {"catastrophe", val<&Spec::catastrophe>(kUnit),
+       "fraction crashing at one instant"},
+      {"catastrophe-at", val<&Spec::catastrophe_at_s>(kNonNegative),
+       "crash time, s"},
+      {"failure", Subkeys,
+       {sub<&Spec::failure_at_s>("at", kNonNegative),
+        sub<&Spec::failure_frac>("frac", kUnit),
+        sub<&Spec::failure_corr>("corr", {},
+                                 {"uniform", "region", "public", "private"})},
+       "correlated failure: a frac cohort crashes at once"},
+      {"eclipse", SubkeysBare,
+       {sub<&Spec::eclipse_target>("target"),
+        sub<&Spec::eclipse_at_s>("at", kNonNegative),
+        sub<&Spec::eclipse_period_s>("period", kPositive)},
+       "eclipse: the target's neighbours replaced each period"},
+      {"natflap", SubkeysBare,
+       {sub<&Spec::natflap_frac>("frac", kUnit),
+        sub<&Spec::natflap_at_s>("at", kNonNegative),
+        sub<&Spec::natflap_period_s>("period", kPositive)},
+       "NAT flapping: frac of nodes flip class each period"},
+      {"adversary", SubkeysBare, {sub<&Spec::adversary_hubs>("hubs")},
+       "the first hubs public joiners run the hub shim"},
+      {"loss", val<&Spec::loss>(), "message loss: uniform or per class pair"},
+      {"mtu", val<&Spec::mtu>(), "datagram payload limit, bytes; 0 = off"},
+      {"bandwidth", Sparse,
+       {sub<&Spec::bandwidth_bps>("rate"),
+        sub<&Spec::bandwidth_burst>("burst")},
+       "per-node send cap (token bucket), bytes/s"},
+      {"fec", Sparse,
+       {sub<&Spec::fec_repair>("repair", Range{0.0, 65535.0}),
+        sub<&Spec::fec_rate>("rate", kNonNegative)},
+       "repair fragments per message (+ ceil(rate*k))"},
+      {"skew", val<&Spec::skew>(kUnitOpen), "clock skew fraction"},
+      {"private-round-scale", val<&Spec::private_round_scale>(kPositive),
+       "slow private rounds by this factor"},
+      {"latency", val<&Spec::latency>({}, {"constant", "king", "coordinate"}),
+       "latency model"},
+      {"latency-ms", val<&Spec::latency_ms>(kPositive),
+       "constant-latency delay, ms"},
+      {"round-ms", val<&Spec::round_ms>(kPositive), "gossip round period, ms"},
+      {"natid", val<&Spec::natid>({}, {"0", "1"}),
+       "joiners run the NAT-ID protocol first"},
+      {"duration", val<&Spec::duration_s>(kPositive), "horizon, simulated s",
+       Always},
+      {"record",
+       val<&Spec::record>({}, {"none", "estimation", "graph", "graph-sampled",
+                               "randomness"}),
+       "what the recorder samples"},
+      {"record-every", val<&Spec::record_every_s>(kNonNegative),
+       "sampling interval, s; 0 = kind default"},
+  };
+  return kKeys;
+}
+
+/// The recorder of kind R with its default options; record-every=0
+/// keeps the kind's default interval.
+template <typename R>
+std::unique_ptr<Recorder> make_recorder(World& world, const Spec& spec) {
+  typename R::Options opt;
+  if (spec.record_every_s > 0.0) opt.interval = from_s(spec.record_every_s);
+  return std::make_unique<R>(world, opt);
 }
 
 }  // namespace
@@ -205,25 +483,21 @@ void ExperimentSpec::validate() const {
     if (!ok) fail(std::string("spec: ") + what);
   };
   check(!protocol.empty(), "protocol must be non-empty");
-  check(nodes > 0, "nodes must be >= 1");
-  check(ratio >= 0.0 && ratio <= 1.0, "ratio must be in [0, 1]");
+  for (const Key& key : keys()) {
+    for (const Field& f : key.fields) {
+      if (f.range.bounded() && !f.range.contains(f.number(*this))) {
+        fail("spec: " + key.label(f) + " must be " + f.range.describe());
+      }
+    }
+  }
+  // Cross-field rules: bounds that depend on another key.
   check(join == JoinKind::Instant ||
             (join_public_ms > 0.0 && join_private_ms > 0.0),
         "join intervals must be positive");
   check(step_publics + step_privates == 0 || step_every_ms > 0.0,
         "step-every-ms must be positive");
-  check(step_at_s >= 0.0, "step-at must be >= 0");
   check(flash_publics + flash_privates == 0 || flash_over_s > 0.0,
         "flash over must be positive");
-  check(flash_at_s >= 0.0, "flash at must be >= 0");
-  check(churn >= 0.0 && churn < 1.0, "churn must be in [0, 1)");
-  check(churn_at_s >= 0.0, "churn-at must be >= 0");
-  check(catastrophe >= 0.0 && catastrophe <= 1.0,
-        "catastrophe must be in [0, 1]");
-  check(catastrophe_at_s >= 0.0, "catastrophe-at must be >= 0");
-  check(failure_frac >= 0.0 && failure_frac <= 1.0,
-        "failure frac must be in [0, 1]");
-  check(failure_at_s >= 0.0, "failure at must be >= 0");
   // Adversarial scenario bounds, rejected here rather than mid-trial:
   // an eclipse target the join processes never spawn would silently
   // no-op forever, natflap on an all-public population has no NAT class
@@ -231,15 +505,9 @@ void ExperimentSpec::validate() const {
   check(eclipse_target <= nodes,
         "eclipse target must be a node id in [1, nodes] (0 = off; ids are "
         "assigned 1..nodes in join order)");
-  check(eclipse_at_s >= 0.0, "eclipse at must be >= 0");
-  check(eclipse_period_s > 0.0, "eclipse period must be positive");
-  check(natflap_frac >= 0.0 && natflap_frac <= 1.0,
-        "natflap frac must be in [0, 1]");
   check(natflap_frac == 0.0 || ratio < 1.0,
         "natflap requires a mixed population — with ratio=1 there is no "
         "NAT class to oscillate");
-  check(natflap_at_s >= 0.0, "natflap at must be >= 0");
-  check(natflap_period_s > 0.0, "natflap period must be positive");
   check(adversary_hubs == 0 || adversary_hubs < nodes,
         "adversary hubs must be < nodes — at least one honest node must "
         "remain");
@@ -264,16 +532,9 @@ void ExperimentSpec::validate() const {
   check(bandwidth_burst == 0 || bandwidth_bps > 0,
         "bandwidth burst requires a positive rate — a zero-rate bucket "
         "would never drain");
-  check(fec_rate >= 0.0, "fec rate must be >= 0");
   check((fec_repair == 0 && fec_rate == 0.0) || mtu > 0,
         "fec requires a positive mtu — repair fragments only exist for "
         "fragmented messages");
-  check(skew >= 0.0 && skew < 1.0, "skew must be in [0, 1)");
-  check(private_round_scale > 0.0, "private-round-scale must be positive");
-  check(latency_ms > 0.0, "latency-ms must be positive");
-  check(round_ms > 0.0, "round-ms must be positive");
-  check(duration_s > 0.0, "duration must be positive");
-  check(record_every_s >= 0.0, "record-every must be >= 0");
   // Fail on an unknown protocol name, option key, or malformed option
   // value at validation time, not mid-trial: specs are often validated
   // once and then fanned out over a pool, where a late throw would
@@ -282,106 +543,14 @@ void ExperimentSpec::validate() const {
 }
 
 std::string ExperimentSpec::to_string() const {
-  static const ExperimentSpec defaults;
-  std::ostringstream out;
-  out << "protocol=" << protocol;
-  out << " nodes=" << nodes;
-  out << " ratio=" << fmt_double(ratio);
-
-  const auto emit_d = [&](const char* key, double v, double dflt) {
-    if (v != dflt) out << ' ' << key << '=' << fmt_double(v);
-  };
-  const auto emit_n = [&](const char* key, std::size_t v, std::size_t dflt) {
-    if (v != dflt) out << ' ' << key << '=' << v;
-  };
-
-  if (join != defaults.join) out << " join=" << join_name(join);
-  emit_d("join-public-ms", join_public_ms, defaults.join_public_ms);
-  emit_d("join-private-ms", join_private_ms, defaults.join_private_ms);
-  emit_n("step-publics", step_publics, defaults.step_publics);
-  emit_n("step-privates", step_privates, defaults.step_privates);
-  emit_d("step-at", step_at_s, defaults.step_at_s);
-  emit_d("step-every-ms", step_every_ms, defaults.step_every_ms);
-  if (flash_publics + flash_privates > 0 ||
-      flash_at_s != defaults.flash_at_s ||
-      flash_over_s != defaults.flash_over_s) {
-    out << " flash=at:" << fmt_double(flash_at_s) << ",publics:"
-        << flash_publics << ",privates:" << flash_privates << ",over:"
-        << fmt_double(flash_over_s);
+  std::string out;
+  for (const Key& key : keys()) {
+    const auto value = key.format(*this);
+    if (!value) continue;
+    if (!out.empty()) out += ' ';
+    out += std::string(key.name) + '=' + *value;
   }
-  emit_d("churn", churn, defaults.churn);
-  emit_d("churn-at", churn_at_s, defaults.churn_at_s);
-  emit_d("catastrophe", catastrophe, defaults.catastrophe);
-  emit_d("catastrophe-at", catastrophe_at_s, defaults.catastrophe_at_s);
-  if (failure_frac != 0.0 || failure_at_s != defaults.failure_at_s ||
-      failure_corr != defaults.failure_corr) {
-    out << " failure=at:" << fmt_double(failure_at_s) << ",frac:"
-        << fmt_double(failure_frac) << ",corr:" << corr_name(failure_corr);
-  }
-  if (eclipse_target != 0 || eclipse_at_s != defaults.eclipse_at_s ||
-      eclipse_period_s != defaults.eclipse_period_s) {
-    out << " eclipse=target:" << eclipse_target << ",at:"
-        << fmt_double(eclipse_at_s) << ",period:"
-        << fmt_double(eclipse_period_s);
-  }
-  if (natflap_frac != 0.0 || natflap_at_s != defaults.natflap_at_s ||
-      natflap_period_s != defaults.natflap_period_s) {
-    out << " natflap=frac:" << fmt_double(natflap_frac) << ",at:"
-        << fmt_double(natflap_at_s) << ",period:"
-        << fmt_double(natflap_period_s);
-  }
-  if (adversary_hubs != 0) out << " adversary=hubs:" << adversary_hubs;
-  if (loss.is_uniform()) {
-    // The historic scalar form, byte-identical for every pre-existing
-    // spec (uniform zero is the default and stays omitted).
-    emit_d("loss", loss.pub_pub, 0.0);
-  } else {
-    out << " loss=";
-    const char* sep = "";
-    const auto emit_pair = [&](const char* pair, double rate) {
-      if (rate == 0.0) return;
-      out << sep << pair << ':' << fmt_double(rate);
-      sep = ",";
-    };
-    emit_pair("pub-pub", loss.pub_pub);
-    emit_pair("pub-priv", loss.pub_priv);
-    emit_pair("priv-pub", loss.priv_pub);
-    emit_pair("priv-priv", loss.priv_priv);
-    if (loss.after_s != 0.0) {
-      out << sep << "after:" << fmt_double(loss.after_s);
-    }
-  }
-  emit_n("mtu", mtu, defaults.mtu);
-  if (bandwidth_bps != 0 || bandwidth_burst != 0) {
-    // Scalar shorthand when the burst is defaulted (validate guarantees
-    // a burst never appears without a rate).
-    if (bandwidth_burst == 0) {
-      out << " bandwidth=" << bandwidth_bps;
-    } else {
-      out << " bandwidth=rate:" << bandwidth_bps << ",burst:"
-          << bandwidth_burst;
-    }
-  }
-  if (fec_repair != 0 || fec_rate != 0.0) {
-    if (fec_rate == 0.0) {
-      out << " fec=" << fec_repair;
-    } else {
-      out << " fec=";
-      if (fec_repair != 0) out << "repair:" << fec_repair << ',';
-      out << "rate:" << fmt_double(fec_rate);
-    }
-  }
-  emit_d("skew", skew, defaults.skew);
-  emit_d("private-round-scale", private_round_scale,
-         defaults.private_round_scale);
-  if (latency != defaults.latency) out << " latency=" << latency_name(latency);
-  emit_d("latency-ms", latency_ms, defaults.latency_ms);
-  emit_d("round-ms", round_ms, defaults.round_ms);
-  if (natid) out << " natid=1";
-  out << " duration=" << fmt_double(duration_s);
-  if (record != defaults.record) out << " record=" << record_name(record);
-  emit_d("record-every", record_every_s, defaults.record_every_s);
-  return out.str();
+  return out;
 }
 
 ExperimentSpec ExperimentSpec::parse(const std::string& text) {
@@ -393,198 +562,40 @@ ExperimentSpec ExperimentSpec::parse(const std::string& text) {
     if (eq == 0 || eq == std::string::npos) {
       fail("spec: expected key=value, got \"" + token + "\"");
     }
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-
-    if (key == "protocol") {
-      spec.protocol = value;
-    } else if (key == "nodes") {
-      spec.nodes = parse_size(key, value);
-    } else if (key == "ratio") {
-      spec.ratio = parse_double(key, value);
-    } else if (key == "join") {
-      if (value == "poisson") spec.join = JoinKind::Poisson;
-      else if (value == "fixed") spec.join = JoinKind::Fixed;
-      else if (value == "instant") spec.join = JoinKind::Instant;
-      else fail("spec: join must be poisson|fixed|instant, got \"" + value +
-                "\"");
-    } else if (key == "join-public-ms") {
-      spec.join_public_ms = parse_double(key, value);
-    } else if (key == "join-private-ms") {
-      spec.join_private_ms = parse_double(key, value);
-    } else if (key == "step-publics") {
-      spec.step_publics = parse_size(key, value);
-    } else if (key == "step-privates") {
-      spec.step_privates = parse_size(key, value);
-    } else if (key == "step-at") {
-      spec.step_at_s = parse_double(key, value);
-    } else if (key == "step-every-ms") {
-      spec.step_every_ms = parse_double(key, value);
-    } else if (key == "flash") {
-      const ExperimentSpec defaults;
-      spec.flash_publics = defaults.flash_publics;
-      spec.flash_privates = defaults.flash_privates;
-      spec.flash_at_s = defaults.flash_at_s;
-      spec.flash_over_s = defaults.flash_over_s;
-      for (const auto& [sub, text] : split_subkeys(key, value)) {
-        if (sub == "at") spec.flash_at_s = parse_double("flash at", text);
-        else if (sub == "publics")
-          spec.flash_publics = parse_size("flash publics", text);
-        else if (sub == "privates")
-          spec.flash_privates = parse_size("flash privates", text);
-        else if (sub == "over")
-          spec.flash_over_s = parse_double("flash over", text);
-        else
-          fail("spec: flash subkey must be at|publics|privates|over, got \"" +
-               sub + "\"");
-      }
-    } else if (key == "churn") {
-      spec.churn = parse_double(key, value);
-    } else if (key == "churn-at") {
-      spec.churn_at_s = parse_double(key, value);
-    } else if (key == "catastrophe") {
-      spec.catastrophe = parse_double(key, value);
-    } else if (key == "catastrophe-at") {
-      spec.catastrophe_at_s = parse_double(key, value);
-    } else if (key == "failure") {
-      const ExperimentSpec defaults;
-      spec.failure_frac = defaults.failure_frac;
-      spec.failure_at_s = defaults.failure_at_s;
-      spec.failure_corr = defaults.failure_corr;
-      for (const auto& [sub, text] : split_subkeys(key, value)) {
-        if (sub == "at") {
-          spec.failure_at_s = parse_double("failure at", text);
-        } else if (sub == "frac") {
-          spec.failure_frac = parse_double("failure frac", text);
-        } else if (sub == "corr") {
-          if (text == "uniform") spec.failure_corr = FailureCorr::Uniform;
-          else if (text == "region") spec.failure_corr = FailureCorr::Region;
-          else if (text == "public") spec.failure_corr = FailureCorr::Public;
-          else if (text == "private")
-            spec.failure_corr = FailureCorr::Private;
-          else
-            fail("spec: failure corr must be uniform|region|public|private, "
-                 "got \"" + text + "\"");
-        } else {
-          fail("spec: failure subkey must be at|frac|corr, got \"" + sub +
-               "\"");
-        }
-      }
-    } else if (key == "eclipse") {
-      const ExperimentSpec defaults;
-      spec.eclipse_target = defaults.eclipse_target;
-      spec.eclipse_at_s = defaults.eclipse_at_s;
-      spec.eclipse_period_s = defaults.eclipse_period_s;
-      for (const auto& [sub, text] : split_subkeys(key, value)) {
-        if (sub.empty() || sub == "target") {
-          spec.eclipse_target = parse_size("eclipse target", text);
-        } else if (sub == "at") {
-          spec.eclipse_at_s = parse_double("eclipse at", text);
-        } else if (sub == "period") {
-          spec.eclipse_period_s = parse_double("eclipse period", text);
-        } else {
-          fail("spec: eclipse subkey must be target|at|period, got \"" + sub +
-               "\"");
-        }
-      }
-    } else if (key == "natflap") {
-      const ExperimentSpec defaults;
-      spec.natflap_frac = defaults.natflap_frac;
-      spec.natflap_at_s = defaults.natflap_at_s;
-      spec.natflap_period_s = defaults.natflap_period_s;
-      for (const auto& [sub, text] : split_subkeys(key, value)) {
-        if (sub.empty() || sub == "frac") {
-          spec.natflap_frac = parse_double("natflap frac", text);
-        } else if (sub == "at") {
-          spec.natflap_at_s = parse_double("natflap at", text);
-        } else if (sub == "period") {
-          spec.natflap_period_s = parse_double("natflap period", text);
-        } else {
-          fail("spec: natflap subkey must be frac|at|period, got \"" + sub +
-               "\"");
-        }
-      }
-    } else if (key == "adversary") {
-      spec.adversary_hubs = 0;
-      for (const auto& [sub, text] : split_subkeys(key, value)) {
-        if (sub.empty() || sub == "hubs") {
-          spec.adversary_hubs = parse_size("adversary hubs", text);
-        } else {
-          fail("spec: adversary subkey must be hubs, got \"" + sub + "\"");
-        }
-      }
-    } else if (key == "loss") {
-      spec.loss = parse_loss(value);
-    } else if (key == "mtu") {
-      spec.mtu = parse_size(key, value);
-    } else if (key == "bandwidth") {
-      spec.bandwidth_bps = 0;
-      spec.bandwidth_burst = 0;
-      for (const auto& [sub, text] : split_subkeys(key, value)) {
-        if (sub.empty() || sub == "rate") {
-          spec.bandwidth_bps = parse_size("bandwidth rate", text);
-        } else if (sub == "burst") {
-          spec.bandwidth_burst = parse_size("bandwidth burst", text);
-        } else {
-          fail("spec: bandwidth subkey must be rate|burst, got \"" + sub +
-               "\"");
-        }
-      }
-      if (spec.bandwidth_bps == 0) {
-        fail("spec: bandwidth rate must be positive (omit the key for an "
-             "uncapped link)");
-      }
-    } else if (key == "fec") {
-      spec.fec_repair = 0;
-      spec.fec_rate = 0.0;
-      for (const auto& [sub, text] : split_subkeys(key, value)) {
-        if (sub.empty() || sub == "repair") {
-          const std::size_t v = parse_size("fec repair", text);
-          if (v > 0xffff) fail("spec: fec repair count out of range");
-          spec.fec_repair = static_cast<std::uint32_t>(v);
-        } else if (sub == "rate") {
-          spec.fec_rate = parse_double("fec rate", text);
-        } else {
-          fail("spec: fec subkey must be repair|rate, got \"" + sub + "\"");
-        }
-      }
-    } else if (key == "skew") {
-      spec.skew = parse_double(key, value);
-    } else if (key == "private-round-scale") {
-      spec.private_round_scale = parse_double(key, value);
-    } else if (key == "latency") {
-      if (value == "king") spec.latency = World::LatencyKind::King;
-      else if (value == "constant") spec.latency = World::LatencyKind::Constant;
-      else if (value == "coordinate")
-        spec.latency = World::LatencyKind::Coordinate;
-      else fail("spec: latency must be king|constant|coordinate, got \"" +
-                value + "\"");
-    } else if (key == "latency-ms") {
-      spec.latency_ms = parse_double(key, value);
-    } else if (key == "round-ms") {
-      spec.round_ms = parse_double(key, value);
-    } else if (key == "natid") {
-      if (value == "0") spec.natid = false;
-      else if (value == "1") spec.natid = true;
-      else fail("spec: natid must be 0|1, got \"" + value + "\"");
-    } else if (key == "duration") {
-      spec.duration_s = parse_double(key, value);
-    } else if (key == "record") {
-      if (value == "none") spec.record = RecordKind::None;
-      else if (value == "estimation") spec.record = RecordKind::Estimation;
-      else if (value == "graph") spec.record = RecordKind::Graph;
-      else if (value == "graph-sampled") spec.record = RecordKind::GraphSampled;
-      else if (value == "randomness") spec.record = RecordKind::Randomness;
-      else fail("spec: record must be none|estimation|graph|graph-sampled|"
-                "randomness, got \"" + value + "\"");
-    } else if (key == "record-every") {
-      spec.record_every_s = parse_double(key, value);
-    } else {
-      fail("spec: unknown key '" + key + "'");
+    const std::string name = token.substr(0, eq);
+    const auto& table = keys();
+    const auto key = std::find_if(table.begin(), table.end(),
+                                  [&](const Key& k) { return name == k.name; });
+    if (key == table.end()) fail("spec: unknown key '" + name + "'");
+    key->parse(spec, token.substr(eq + 1));
+    // The default 0 means uncapped and is spelled by omitting the key.
+    if (name == "bandwidth" && spec.bandwidth_bps == 0) {
+      fail("spec: bandwidth rate must be positive (omit the key for an "
+           "uncapped link)");
     }
   }
   spec.validate();
   return spec;
+}
+
+const std::vector<SpecKeyDoc>& ExperimentSpec::key_docs() {
+  static const std::vector<SpecKeyDoc> kDocs = [] {
+    std::vector<SpecKeyDoc> docs;
+    for (const Key& key : keys()) {
+      SpecKeyDoc doc{key.name, {}, key.doc};
+      for (const Field& f : key.fields) {
+        if (!doc.syntax.empty()) doc.syntax += ',';
+        doc.syntax += key.composite() ? f.sub + (':' + f.syntax) : f.syntax;
+      }
+      if (!key.composite()) {
+        const Field& f = key.fields[0];
+        doc.doc += " (default " + f.format(f, defaults()) + ")";
+      }
+      docs.push_back(std::move(doc));
+    }
+    return docs;
+  }();
+  return kDocs;
 }
 
 SpecBuilder& SpecBuilder::protocol(std::string spec) {
@@ -783,9 +794,9 @@ Experiment::Experiment(const ExperimentSpec& spec, std::uint64_t seed,
   // The scenario pipeline. Scheduling order mirrors what the benches
   // always did by hand — joins, then churn, then catastrophe, then
   // recorders — so a spec-built world replays a hand-built one event for
-  // event; the new families (flash crowd, correlated failure) slot in
-  // after their nearest historic sibling and exist only in specs with no
-  // hand-built twin.
+  // event; the newer families (flash crowd, correlated failure, eclipse,
+  // natflap) slot in after their nearest historic sibling and exist only
+  // in specs with no hand-built twin.
   const auto arm = [this](std::unique_ptr<ScenarioProcess> process,
                           sim::SimTime at) {
     process->start(at);
@@ -891,41 +902,21 @@ Experiment::Experiment(const ExperimentSpec& spec, std::uint64_t seed,
   switch (spec_.record) {
     case ExperimentSpec::RecordKind::None:
       break;
-    case ExperimentSpec::RecordKind::Estimation: {
-      const sim::Duration every = spec_.record_every_s > 0.0
-                                      ? from_s(spec_.record_every_s)
-                                      : sim::sec(1);
-      estimation_ = std::make_unique<EstimationRecorder>(
-          *world_, EstimationRecorderOptions{every, 2});
-      estimation_->start(every);
+    case ExperimentSpec::RecordKind::Estimation:
+      recorder_ = make_recorder<EstimationRecorder>(*world_, spec_);
       break;
-    }
-    case ExperimentSpec::RecordKind::Graph: {
-      const sim::Duration every = spec_.record_every_s > 0.0
-                                      ? from_s(spec_.record_every_s)
-                                      : sim::sec(10);
-      graph_stats_ = std::make_unique<GraphStatsRecorder>(
-          *world_, GraphStatsRecorderOptions{every, 128});
-      graph_stats_->start(every);
+    case ExperimentSpec::RecordKind::Graph:
+      recorder_ = make_recorder<GraphStatsRecorder>(*world_, spec_);
       break;
-    }
-    case ExperimentSpec::RecordKind::GraphSampled: {
-      SampledGraphStatsRecorderOptions opt;
-      if (spec_.record_every_s > 0.0) opt.interval = from_s(spec_.record_every_s);
-      graph_sampled_ = std::make_unique<SampledGraphStatsRecorder>(*world_, opt);
-      graph_sampled_->start(opt.interval);
+    case ExperimentSpec::RecordKind::GraphSampled:
+      recorder_ = make_recorder<SampledGraphStatsRecorder>(*world_, spec_);
       break;
-    }
-    case ExperimentSpec::RecordKind::Randomness: {
-      const sim::Duration every = spec_.record_every_s > 0.0
-                                      ? from_s(spec_.record_every_s)
-                                      : sim::sec(10);
-      randomness_ = std::make_unique<RandomnessAuditRecorder>(
-          *world_, RandomnessRecorderOptions{every});
-      randomness_->start(every);
+    case ExperimentSpec::RecordKind::Randomness:
+      recorder_ = make_recorder<RandomnessAuditRecorder>(*world_, spec_);
       break;
-    }
   }
+  // The first sample lands one interval in.
+  if (recorder_) recorder_->start(recorder_->interval());
 }
 
 ScenarioProcess::Stats Experiment::scenario_stats() const {

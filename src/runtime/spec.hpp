@@ -29,6 +29,15 @@
 
 namespace croupier::run {
 
+/// One spec key as help text sees it; croupier-lab builds its scenario
+/// flags and --help from these rows.
+struct SpecKeyDoc {
+  std::string name;    // "flash"
+  std::string syntax;  // value grammar: "N", "X", "poisson|fixed|instant",
+                       // "at:X,publics:N,..."
+  std::string doc;     // one line; scalar keys end with their default
+};
+
 struct ExperimentSpec {
   enum class JoinKind : std::uint8_t {
     Poisson,  // exponential inter-arrival (the paper's join model)
@@ -156,7 +165,7 @@ struct ExperimentSpec {
   // Horizon and recording.
   double duration_s = 200.0;
   RecordKind record = RecordKind::Estimation;
-  double record_every_s = 0.0;  // 0 = kind default (1 s est., 10 s graph)
+  double record_every_s = 0.0;  // 0 = kind default (1 s est., 10 s others)
 
   [[nodiscard]] std::size_t publics() const;
   [[nodiscard]] std::size_t privates() const { return nodes - publics(); }
@@ -176,6 +185,9 @@ struct ExperimentSpec {
   /// Parses the `key=value ...` form. Throws std::invalid_argument on
   /// unknown keys, malformed values, or a spec that fails validate().
   static ExperimentSpec parse(const std::string& text);
+
+  /// Every key, in canonical to_string() order.
+  static const std::vector<SpecKeyDoc>& key_docs();
 
   friend bool operator==(const ExperimentSpec&,
                          const ExperimentSpec&) = default;
@@ -260,7 +272,8 @@ class Experiment {
   [[nodiscard]] World& world() { return *world_; }
 
   /// The scheduled scenario processes, in scheduling order (joins, step
-  /// wave, flash crowd, churn, catastrophe, correlated failure).
+  /// wave, flash crowd, churn, catastrophe, correlated failure, eclipse,
+  /// natflap).
   [[nodiscard]] const std::vector<std::unique_ptr<ScenarioProcess>>&
   scenario() const {
     return scenario_;
@@ -273,18 +286,22 @@ class Experiment {
   void run() { run_until(spec_.duration()); }
   void run_until(sim::SimTime t) { world_->run_until(t); }
 
-  /// Recorder for the spec's RecordKind; nullptr when not requested.
+  /// Recorder for the spec's RecordKind; nullptr for record=none.
+  [[nodiscard]] const Recorder* recorder() const { return recorder_.get(); }
+
+  /// The recorder as its concrete kind; nullptr when the spec records
+  /// another kind.
   [[nodiscard]] const EstimationRecorder* estimation() const {
-    return estimation_.get();
+    return dynamic_cast<const EstimationRecorder*>(recorder());
   }
   [[nodiscard]] const GraphStatsRecorder* graph_stats() const {
-    return graph_stats_.get();
+    return dynamic_cast<const GraphStatsRecorder*>(recorder());
   }
   [[nodiscard]] const SampledGraphStatsRecorder* graph_sampled() const {
-    return graph_sampled_.get();
+    return dynamic_cast<const SampledGraphStatsRecorder*>(recorder());
   }
   [[nodiscard]] const RandomnessAuditRecorder* randomness() const {
-    return randomness_.get();
+    return dynamic_cast<const RandomnessAuditRecorder*>(recorder());
   }
 
  private:
@@ -293,10 +310,7 @@ class Experiment {
   // Declared after world_ so the pipeline is destroyed first: processes
   // may cancel their pending events, which needs the simulator alive.
   std::vector<std::unique_ptr<ScenarioProcess>> scenario_;
-  std::unique_ptr<EstimationRecorder> estimation_;
-  std::unique_ptr<GraphStatsRecorder> graph_stats_;
-  std::unique_ptr<SampledGraphStatsRecorder> graph_sampled_;
-  std::unique_ptr<RandomnessAuditRecorder> randomness_;
+  std::unique_ptr<Recorder> recorder_;
 };
 
 }  // namespace croupier::run

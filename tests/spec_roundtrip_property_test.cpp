@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/spec.hpp"
@@ -153,6 +156,78 @@ TEST(SpecRoundtripProperty, ParseOfToStringIsIdentity) {
                        << "  reparsed: " << back.to_string();
     // Fixed point: re-emitting the reparsed spec changes nothing.
     EXPECT_EQ(back.to_string(), text) << "iteration " << i;
+  }
+}
+
+/// FNV-1a over the concatenated canonical text of the generator's 500
+/// specs (newline-terminated), pinning every emit rule at once: key
+/// order, default omission, number formatting and composite subkeys.
+TEST(SpecRoundtripProperty, CanonicalTextDigestIsPinned) {
+  sim::RngStream rng(0xD1CE);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (int i = 0; i < 500; ++i) {
+    for (const char c : random_spec(rng).to_string() + "\n") {
+      digest = (digest ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+    }
+  }
+  EXPECT_EQ(digest, 0xd10f772740764803ULL);
+}
+
+/// Each composite key has its own emit rule; one exact string per form.
+TEST(SpecRoundtripProperty, CompositeFormsHaveExactCanonicalText) {
+  const std::string head = "protocol=croupier nodes=1000 ratio=0.2 ";
+  const std::pair<const char*, const char*> kCases[] = {
+      // flash, failure, eclipse and natflap emit every subkey.
+      {"flash=publics:10", "flash=at:60,publics:10,privates:0,over:10"},
+      {"failure=frac:0.3", "failure=at:60,frac:0.3,corr:region"},
+      {"eclipse=5", "eclipse=target:5,at:60,period:1"},
+      {"natflap=0.1", "natflap=frac:0.1,at:60,period:10"},
+      {"adversary=2", "adversary=hubs:2"},
+      // bandwidth keeps its bare form while the burst is defaulted.
+      {"bandwidth=rate:20000", "bandwidth=20000"},
+      {"bandwidth=burst:4000,rate:20000", "bandwidth=rate:20000,burst:4000"},
+      // fec omits repair:0 and is bare while the rate is zero.
+      {"mtu=64 fec=repair:2", "mtu=64 fec=2"},
+      {"mtu=64 fec=rate:0.5", "mtu=64 fec=rate:0.5"},
+      {"mtu=64 fec=rate:0.25,repair:1", "mtu=64 fec=repair:1,rate:0.25"},
+      // Structured loss: non-zero pairs in fixed order, then after.
+      {"loss=after:30,priv-any:0.2,pub-pub:0.05",
+       "loss=pub-pub:0.05,priv-pub:0.2,priv-priv:0.2,after:30"},
+  };
+  for (const auto& [in, out] : kCases) {
+    EXPECT_EQ(ExperimentSpec::parse(std::string(in) + " duration=200")
+                  .to_string(),
+              head + out + " duration=200")
+        << in;
+  }
+}
+
+/// Every key of the spec table is documented in SPEC_REFERENCE.md's key
+/// table and emitted by at least one generated spec, so a new key cannot
+/// be left out of the docs or of this property test.
+TEST(SpecRoundtripProperty, EveryKeyIsDocumentedAndGenerated) {
+  std::ifstream in(CROUPIER_SPEC_REFERENCE);
+  ASSERT_TRUE(in) << CROUPIER_SPEC_REFERENCE;
+  std::set<std::string> documented;
+  bool in_key_table = false;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("## ", 0) == 0) in_key_table = line == "## Spec keys";
+    if (in_key_table && line.rfind("| `", 0) == 0) {
+      documented.insert(line.substr(3, line.find('`', 3) - 3));
+    }
+  }
+  std::string generated;
+  sim::RngStream rng(0xD1CE);
+  for (int i = 0; i < 500; ++i) {
+    generated += ' ';
+    generated += random_spec(rng).to_string();
+  }
+  ASSERT_FALSE(ExperimentSpec::key_docs().empty());
+  for (const auto& key : ExperimentSpec::key_docs()) {
+    EXPECT_EQ(documented.count(key.name), 1u)
+        << key.name << " is missing from the SPEC_REFERENCE.md key table";
+    EXPECT_NE(generated.find(" " + key.name + "="), std::string::npos)
+        << key.name << " appears in no generated spec";
   }
 }
 

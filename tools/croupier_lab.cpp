@@ -12,16 +12,17 @@
 //                --protocol=croupier:alpha=25,gamma=50 --duration=350
 //   croupier-lab --spec="protocol=gozar nodes=500 ratio=0.2 duration=120"
 //
-// Output matches the fig benches: gnuplot series blocks on stdout (avg-
-// and max-error per spec for estimation recording; path length and
-// clustering for graph recording), stddev third column when --runs>1,
-// optional CSV mirror. Spec points are trial-grid points, so the seed of
+// Output matches the fig benches: gnuplot series blocks on stdout (one
+// per column of the recorder the spec selects, e.g. avg- and max-error
+// for estimation), stddev third column when --runs>1, optional CSV
+// mirror. Spec points are trial-grid points, so the seed of
 // (point p, run r) is exp::trial_seed(seed, p, r) — invoking croupier-lab
 // with fig1's three (alpha,gamma) specs reproduces fig1's series
 // byte-for-byte at the same --seed/--runs.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -34,7 +35,7 @@ namespace {
 
 using namespace croupier;
 
-constexpr const char* kUsage =
+constexpr const char* kUsageHead =
     "croupier-lab: run declarative peer-sampling experiments\n"
     "\n"
     "spec selection (one sweep point per flag occurrence):\n"
@@ -43,67 +44,11 @@ constexpr const char* kUsage =
     "                             cyclon, gozar, nylon, arrg)\n"
     "  --spec=\"k=v k=v ...\"       full ExperimentSpec string; repeat to\n"
     "                             sweep (exclusive with scenario flags)\n"
-    "scenario (shared by every --protocol point):\n"
-    "  --nodes=N                  population size (default 1000)\n"
-    "  --ratio=R                  public fraction omega (default 0.2)\n"
-    "  --join=poisson|fixed|instant   join process (default poisson)\n"
-    "  --join-public-ms=MS --join-private-ms=MS   inter-arrival times\n"
-    "  --step-publics=N --step-privates=N   second join wave sizes\n"
-    "  --step-at=S --step-every-ms=MS        wave start / interval\n"
-    "  --flash=at:S,publics:N,privates:N,over:S   flash crowd: a join\n"
-    "                             surge ramping up then down inside the\n"
-    "                             window (e.g. at:120,publics:500,\n"
-    "                             privates:125,over:10)\n"
-    "  --churn=F                  fraction replaced per round (default 0)\n"
-    "  --churn-at=S               churn start (default 61)\n"
-    "  --catastrophe=F            fraction crashing at one instant\n"
-    "  --catastrophe-at=S         crash time (default 60)\n"
-    "  --failure=at:S,frac:F,corr:C   correlated failure: frac of the\n"
-    "                             system crashes as one cohort; corr is\n"
-    "                             uniform|region|public|private\n"
-    "                             (region = a contiguous latency\n"
-    "                             neighbourhood around a random\n"
-    "                             epicenter)\n"
-    "  --eclipse=target:N,at:S,period:S   eclipse attack: every period,\n"
-    "                             every node the target points at is\n"
-    "                             crashed and replaced, starving the\n"
-    "                             target of honest links\n"
-    "  --natflap=frac:F,at:S,period:S   NAT flapping: frac of nodes flip\n"
-    "                             NAT class each period and flip back the\n"
-    "                             next, invalidating relay/RVP state\n"
-    "  --adversary=hubs:N         N public joiners run the self-promoting\n"
-    "                             hub shim instead of the honest sampler\n"
-    "  --loss=P | --loss=pub-pub:P,priv-any:P,...,after:S\n"
-    "                             uniform or per-class-pair message loss\n"
-    "                             (pairs are sender-receiver with `any`\n"
-    "                             wildcards; after delays activation)\n"
-    "  --mtu=N                    datagram payload limit in bytes; larger\n"
-    "                             messages split into fragments, each its\n"
-    "                             own loss roll (0 = off, default)\n"
-    "  --bandwidth=BPS | --bandwidth=rate:BPS,burst:BYTES\n"
-    "                             per-node send cap (token bucket, bytes/\n"
-    "                             second); queueing delay when saturated\n"
-    "                             inflates delivery latency\n"
-    "  --fec=R | --fec=repair:R,rate:X\n"
-    "                             rateless repair fragments appended per\n"
-    "                             fragmented message (fixed count plus\n"
-    "                             ceil(rate*k)); requires --mtu\n"
-    "  --skew=S                   clock skew fraction (default 0.01)\n"
-    "  --private-round-scale=X    slow private rounds by X (default 1)\n"
-    "  --latency=king|constant|coordinate   latency model (default king)\n"
-    "  --latency-ms=MS            constant-latency value (default 50)\n"
-    "  --round-ms=MS              gossip round period (default 1000)\n"
-    "  --natid                    joiners run the NAT-ID protocol\n"
-    "  --duration=S               horizon in seconds (default 200)\n"
-    "  --record=estimation|graph|graph-sampled|randomness\n"
-    "                             what to record (default estimation);\n"
-    "                             graph-sampled runs the O(sample)\n"
-    "                             streaming estimators for worlds too\n"
-    "                             large to snapshot; randomness runs the\n"
-    "                             statistical sampler audit (in-degree\n"
-    "                             chi-square z, lag-1 repeat ratio,\n"
-    "                             public-selection bias)\n"
-    "  --record-every=S           sampling interval (default 1 / 10)\n"
+    "scenario (shared by every --protocol point; one flag per spec key,\n"
+    "see docs/SPEC_REFERENCE.md; N integer, X real, times in s unless ms):\n";
+
+constexpr const char* kUsageTail =
+    "  --natid                    shorthand for --natid=1\n"
     "harness:\n"
     "  --runs=N --seed=S --jobs=N --csv=PATH   as in the fig benches;\n"
     "                             with --runs>1 series rows gain a stddev\n"
@@ -118,6 +63,20 @@ constexpr const char* kUsage =
     "reported on stderr, so speedups and footprints are observable\n"
     "without external tooling.\n";
 
+void print_usage() {
+  std::fputs(kUsageHead, stdout);
+  for (const auto& key : run::ExperimentSpec::key_docs()) {
+    if (key.name == "protocol") continue;  // the sweep axis, listed above
+    const std::string flag = "  --" + key.name + "=" + key.syntax;
+    if (flag.size() < 28) {
+      std::printf("%-29s%s\n", flag.c_str(), key.doc.c_str());
+    } else {
+      std::printf("%s\n%29s%s\n", flag.c_str(), "", key.doc.c_str());
+    }
+  }
+  std::fputs(kUsageTail, stdout);
+}
+
 struct LabFlags {
   std::vector<std::string> protocols;
   std::vector<std::string> raw_specs;
@@ -126,19 +85,8 @@ struct LabFlags {
 
   /// BenchArgs extra-flag hook: true when `arg` is a lab flag.
   bool consume(const std::string& arg) {
-    static constexpr const char* kSpecKeys[] = {
-        "nodes",          "ratio",        "join",        "join-public-ms",
-        "join-private-ms", "step-publics", "step-privates", "step-at",
-        "step-every-ms",  "flash",        "churn",       "churn-at",
-        "catastrophe",    "catastrophe-at", "failure",   "loss",
-        "eclipse",        "natflap",      "adversary",
-        "mtu",            "bandwidth",    "fec",
-        "skew",           "private-round-scale",
-        "latency",        "latency-ms",   "round-ms",    "duration",
-        "record",         "record-every",
-    };
     if (arg == "--help") {
-      std::fputs(kUsage, stdout);
+      print_usage();
       std::exit(0);
     }
     if (arg == "--fast") {
@@ -166,16 +114,26 @@ struct LabFlags {
       raw_specs.push_back(arg.substr(7));
       return true;
     }
-    for (const char* key : kSpecKeys) {
-      const std::string prefix = std::string("--") + key + "=";
+    for (const auto& key : run::ExperimentSpec::key_docs()) {
+      const std::string prefix = "--" + key.name + "=";
       if (arg.rfind(prefix, 0) == 0) {
-        scenario.emplace_back(key, arg.substr(prefix.size()));
+        scenario.emplace_back(key.name, arg.substr(prefix.size()));
         return true;
       }
     }
     return false;
   }
 };
+
+/// The record kinds a sweep can report: the record key's values after
+/// the first, none (enum names are listed in enum order).
+std::string recordable_kinds() {
+  for (const auto& key : run::ExperimentSpec::key_docs()) {
+    if (key.name != "record") continue;
+    return key.syntax.substr(key.syntax.find('|') + 1);
+  }
+  return {};
+}
 
 /// The sweep: one ExperimentSpec per point, built either from --spec
 /// strings or from the shared scenario flags times the protocol list.
@@ -210,148 +168,54 @@ std::vector<run::ExperimentSpec> build_specs(const LabFlags& flags) {
   return specs;
 }
 
-struct GraphSeries {
-  std::vector<double> t;
-  std::vector<double> apl;
-  std::vector<double> cc;
+/// One finished trial: its recorder's columns, the network's drop
+/// counters and the trial's wall-clock seconds.
+struct Trial {
+  std::span<const run::Column> columns;
+  run::ColumnTable table;
+  net::Network::DropStats drops;
+  double seconds = 0.0;
 };
 
-GraphSeries to_graph_series(const run::GraphStatsRecorder& recorder) {
-  GraphSeries out;
-  for (const auto& p : recorder.series()) {
-    out.t.push_back(p.t_seconds);
-    out.apl.push_back(p.avg_path_length);
-    out.cc.push_back(p.clustering_coefficient);
-  }
-  return out;
-}
-
-/// Streaming pointwise aggregation of graph series (the graph-recording
-/// twin of bench::SeriesFold): each finished trial folds into Welford
-/// accumulators and is freed.
-struct GraphFold {
-  std::vector<double> t;
-  exp::SeriesAccum apl;
-  exp::SeriesAccum cc;
-
-  void add(const GraphSeries& run) {
-    if (t.empty()) t = run.t;
-    apl.add(run.apl);
-    cc.add(run.cc);
-  }
-};
-
-/// graph-sampled recording: the streaming-estimator series carries two
-/// extra columns the exact recorder cannot afford at scale.
-struct SampledSeries {
-  std::vector<double> t;
-  std::vector<double> apl;
-  std::vector<double> cc;
-  std::vector<double> indeg_cv;
-  std::vector<double> component;
-};
-
-SampledSeries to_sampled_series(const run::SampledGraphStatsRecorder& rec) {
-  SampledSeries out;
-  for (const auto& p : rec.series()) {
-    out.t.push_back(p.t_seconds);
-    out.apl.push_back(p.avg_path_length);
-    out.cc.push_back(p.clustering_coefficient);
-    out.indeg_cv.push_back(p.in_degree_cv);
-    out.component.push_back(p.largest_component_fraction);
-  }
-  return out;
-}
-
-struct SampledFold {
-  std::vector<double> t;
-  exp::SeriesAccum apl;
-  exp::SeriesAccum cc;
-  exp::SeriesAccum indeg_cv;
-  exp::SeriesAccum component;
-
-  void add(const SampledSeries& run) {
-    if (t.empty()) t = run.t;
-    apl.add(run.apl);
-    cc.add(run.cc);
-    indeg_cv.add(run.indeg_cv);
-    component.add(run.component);
-  }
-};
-
-/// randomness recording: the statistical audit series — the three
-/// normalized statistics whose honest-case expectations are known in
-/// closed form (chi2 z ~ 0, repeat ratio ~ 1, bias ratio ~ 1).
-struct RandomnessSeries {
-  std::vector<double> t;
-  std::vector<double> chi2_z;
-  std::vector<double> repeat_ratio;
-  std::vector<double> bias_ratio;
-};
-
-RandomnessSeries to_randomness_series(const run::RandomnessAuditRecorder& rec) {
-  RandomnessSeries out;
-  for (const auto& p : rec.series()) {
-    out.t.push_back(p.t_seconds);
-    out.chi2_z.push_back(p.chi2_z);
-    out.repeat_ratio.push_back(p.repeat_ratio);
-    out.bias_ratio.push_back(p.bias_ratio);
-  }
-  return out;
-}
-
-struct RandomnessFold {
-  std::vector<double> t;
-  exp::SeriesAccum chi2_z;
-  exp::SeriesAccum repeat_ratio;
-  exp::SeriesAccum bias_ratio;
-
-  void add(const RandomnessSeries& run) {
-    if (t.empty()) t = run.t;
-    chi2_z.add(run.chi2_z);
-    repeat_ratio.add(run.repeat_ratio);
-    bias_ratio.add(run.bias_ratio);
-  }
-};
-
-/// Wall-clock accounting for one sweep point, reported on stderr so the
+/// Streaming aggregation of one sweep point (the lab's twin of
+/// bench::SeriesFold, for any record kind): each finished trial folds
+/// into per-column Welford accumulators and is freed. The wall-clock,
+/// memory and drop totals are reported on stderr only, so the
 /// determinism gate (which byte-compares stdout and CSV across --jobs /
-/// --world-jobs) never sees it.
-struct PointTiming {
+/// --world-jobs) never sees them.
+struct PointFold {
+  std::span<const run::Column> columns;
+  std::vector<double> t;  // grid of the first non-empty run
+  std::vector<exp::SeriesAccum> values;
   exp::Accum seconds;
   double max_seconds = 0.0;
   std::uint64_t max_rss = 0;  // resident set observed at fold time
   net::Network::DropStats drops;  // summed across the point's trials
 
-  void add(double s, const net::Network::DropStats& d) {
-    seconds.add(s);
-    max_seconds = std::max(max_seconds, s);
+  void add(const Trial& trial) {
+    columns = trial.columns;
+    if (t.empty()) t = trial.table.t;
+    values.resize(trial.table.values.size());
+    for (std::size_t c = 0; c < values.size(); ++c) {
+      values[c].add(trial.table.values[c]);
+    }
+    seconds.add(trial.seconds);
+    max_seconds = std::max(max_seconds, trial.seconds);
     // Sampled when the trial folds. Trials of different points
     // interleave under --jobs, so this is an upper bound on the point's
     // own footprint — tight when points run alone, still the number
     // that answers "did this sweep fit in memory".
     max_rss = std::max(max_rss, exp::current_rss_bytes());
-    drops.loss += d.loss;
-    drops.nat_filtered += d.nat_filtered;
-    drops.dead_receiver += d.dead_receiver;
-    drops.delivered += d.delivered;
-    drops.loss_bytes += d.loss_bytes;
-    drops.nat_filtered_bytes += d.nat_filtered_bytes;
-    drops.dead_receiver_bytes += d.dead_receiver_bytes;
-    drops.delivered_bytes += d.delivered_bytes;
-    drops.fragments_sent += d.fragments_sent;
-    drops.fragments_lost += d.fragments_lost;
-    drops.fragments_reassembled += d.fragments_reassembled;
-    drops.fragments_expired += d.fragments_expired;
+    drops += trial.drops;
   }
 };
 
 void report_timing(const std::vector<std::string>& labels,
-                   const std::vector<PointTiming>& timing,
+                   const std::vector<PointFold>& folds,
                    const bench::BenchArgs& args, double elapsed) {
   const std::size_t shards = std::max<std::size_t>(1, args.world_jobs);
   for (std::size_t p = 0; p < labels.size(); ++p) {
-    const auto& d = timing[p].drops;
+    const auto& d = folds[p].drops;
     std::fprintf(stderr,
                  "# timing %s: trials=%zu wall-sum=%.2fs wall-max=%.2fs "
                  "rss-max=%.1fMiB "
@@ -359,11 +223,11 @@ void report_timing(const std::vector<std::string>& labels,
                  "frags=sent:%llu,lost:%llu,reassembled:%llu,expired:%llu "
                  "effective-parallelism=%zu "
                  "(%zu trials x %zu world shards)\n",
-                 labels[p].c_str(), timing[p].seconds.n(),
-                 timing[p].seconds.mean() *
-                     static_cast<double>(timing[p].seconds.n()),
-                 timing[p].max_seconds,
-                 static_cast<double>(timing[p].max_rss) / (1024.0 * 1024.0),
+                 labels[p].c_str(), folds[p].seconds.n(),
+                 folds[p].seconds.mean() *
+                     static_cast<double>(folds[p].seconds.n()),
+                 folds[p].max_seconds,
+                 static_cast<double>(folds[p].max_rss) / (1024.0 * 1024.0),
                  static_cast<unsigned long long>(d.loss_bytes),
                  static_cast<unsigned long long>(d.nat_filtered_bytes),
                  static_cast<unsigned long long>(d.dead_receiver_bytes),
@@ -379,133 +243,35 @@ void report_timing(const std::vector<std::string>& labels,
                    (1024.0 * 1024.0));
 }
 
-void emit_estimation(exp::ResultSink& sink, const std::string& label,
-                     const bench::SeriesFold& fold, std::size_t n_runs) {
-  const auto agg = fold.finish();
-  bench::emit_series(sink, label + " avg-error", agg.t, agg.avg_err,
-                     agg.avg_err_sd, n_runs);
-  bench::emit_series(sink, label + " max-error", agg.t, agg.max_err,
-                     agg.max_err_sd, n_runs);
-  const std::string block = "summary " + label;
-  const double steady_avg = bench::steady_state(agg.avg_err);
-  const double steady_max = bench::steady_state(agg.max_err);
-  sink.comment(exp::strf("%s: steady avg-err=%.5f steady max-err=%.5f",
-                         block.c_str(), steady_avg, steady_max));
-  sink.blank();
-  sink.value(block, "steady avg-err", steady_avg);
-  sink.value(block, "steady max-err", steady_max);
-}
-
-void emit_graph(exp::ResultSink& sink, const std::string& label,
-                const GraphFold& fold, std::size_t n_runs) {
-  const std::vector<double> apl = fold.apl.means();
-  const std::vector<double> apl_sd = fold.apl.stddevs();
-  const std::vector<double> cc = fold.cc.means();
-  const std::vector<double> cc_sd = fold.cc.stddevs();
+/// Prints one sweep point: a series block per column, then the summary
+/// line and values of every column with a summary rule.
+void emit(exp::ResultSink& sink, const std::string& label,
+          const PointFold& fold, std::size_t n_runs) {
+  const std::size_t len = fold.values.empty() ? 0 : fold.values[0].size();
   const std::vector<double> t(
-      fold.t.begin(),
-      fold.t.begin() + static_cast<std::ptrdiff_t>(apl.size()));
-  bench::emit_series(sink, label + " avg-path-length", t, apl, apl_sd,
-                     n_runs, "%.0f", "%.4f");
-  bench::emit_series(sink, label + " clustering-coefficient", t, cc, cc_sd,
-                     n_runs, "%.0f", "%.5f");
+      fold.t.begin(), fold.t.begin() + static_cast<std::ptrdiff_t>(len));
   const std::string block = "summary " + label;
-  const double final_apl = apl.empty() ? 0.0 : apl.back();
-  const double final_cc = cc.empty() ? 0.0 : cc.back();
-  sink.comment(exp::strf("%s: final apl=%.3f final cc=%.4f", block.c_str(),
-                         final_apl, final_cc));
+  std::string line = block + ":";
+  std::vector<std::pair<std::string, double>> summaries;
+  for (std::size_t c = 0; c < fold.columns.size(); ++c) {
+    const run::Column& column = fold.columns[c];
+    const std::vector<double> means = fold.values[c].means();
+    bench::emit_series(sink, label + " " + column.name, t, means,
+                       fold.values[c].stddevs(), n_runs, "%.0f",
+                       column.format);
+    if (column.summary == run::Summary::None) continue;
+    const bool steady = column.summary == run::Summary::SteadyMean;
+    const double value = steady          ? bench::steady_state(means)
+                         : means.empty() ? 0.0
+                                         : means.back();
+    const std::string key =
+        std::string(steady ? "steady " : "final ") + column.summary_name;
+    line += " " + key + "=" + exp::strf(column.summary_format, value);
+    summaries.emplace_back(key, value);
+  }
+  sink.comment(line);
   sink.blank();
-  sink.value(block, "final apl", final_apl);
-  sink.value(block, "final cc", final_cc);
-}
-
-void emit_graph_sampled(exp::ResultSink& sink, const std::string& label,
-                        const SampledFold& fold, std::size_t n_runs) {
-  const std::vector<double> apl = fold.apl.means();
-  const std::vector<double> cc = fold.cc.means();
-  const std::vector<double> cv = fold.indeg_cv.means();
-  const std::vector<double> comp = fold.component.means();
-  const std::vector<double> t(
-      fold.t.begin(),
-      fold.t.begin() + static_cast<std::ptrdiff_t>(apl.size()));
-  bench::emit_series(sink, label + " avg-path-length", t, apl,
-                     fold.apl.stddevs(), n_runs, "%.0f", "%.4f");
-  bench::emit_series(sink, label + " clustering-coefficient", t, cc,
-                     fold.cc.stddevs(), n_runs, "%.0f", "%.5f");
-  bench::emit_series(sink, label + " in-degree-cv", t, cv,
-                     fold.indeg_cv.stddevs(), n_runs, "%.0f", "%.4f");
-  bench::emit_series(sink, label + " largest-component", t, comp,
-                     fold.component.stddevs(), n_runs, "%.0f", "%.4f");
-  const std::string block = "summary " + label;
-  const double final_apl = apl.empty() ? 0.0 : apl.back();
-  const double final_cc = cc.empty() ? 0.0 : cc.back();
-  const double final_comp = comp.empty() ? 0.0 : comp.back();
-  sink.comment(exp::strf("%s: final apl=%.3f final cc=%.4f "
-                         "final largest-component=%.4f",
-                         block.c_str(), final_apl, final_cc, final_comp));
-  sink.blank();
-  sink.value(block, "final apl", final_apl);
-  sink.value(block, "final cc", final_cc);
-  sink.value(block, "final largest-component", final_comp);
-}
-
-void emit_randomness(exp::ResultSink& sink, const std::string& label,
-                     const RandomnessFold& fold, std::size_t n_runs) {
-  const std::vector<double> z = fold.chi2_z.means();
-  const std::vector<double> rep = fold.repeat_ratio.means();
-  const std::vector<double> bias = fold.bias_ratio.means();
-  const std::vector<double> t(
-      fold.t.begin(),
-      fold.t.begin() + static_cast<std::ptrdiff_t>(z.size()));
-  bench::emit_series(sink, label + " indegree-chi2-z", t, z,
-                     fold.chi2_z.stddevs(), n_runs, "%.0f", "%.4f");
-  bench::emit_series(sink, label + " repeat-ratio", t, rep,
-                     fold.repeat_ratio.stddevs(), n_runs, "%.0f", "%.4f");
-  bench::emit_series(sink, label + " bias-ratio", t, bias,
-                     fold.bias_ratio.stddevs(), n_runs, "%.0f", "%.4f");
-  const std::string block = "summary " + label;
-  const double final_z = z.empty() ? 0.0 : z.back();
-  const double final_rep = rep.empty() ? 0.0 : rep.back();
-  const double final_bias = bias.empty() ? 0.0 : bias.back();
-  sink.comment(exp::strf("%s: final chi2-z=%.3f final repeat-ratio=%.4f "
-                         "final bias-ratio=%.4f",
-                         block.c_str(), final_z, final_rep, final_bias));
-  sink.blank();
-  sink.value(block, "final chi2-z", final_z);
-  sink.value(block, "final repeat-ratio", final_rep);
-  sink.value(block, "final bias-ratio", final_bias);
-}
-
-/// Runs the sweep's trial grid with streaming per-point folds plus
-/// per-trial wall-clock and drop-stat capture. `run_trial(p, seed)`
-/// executes one trial and returns (series, DropStats); the series is
-/// folded in grid order (byte-identical for every --jobs).
-template <typename Fold, typename RunTrial>
-std::vector<Fold> run_lab_grid(exp::TrialPool& pool,
-                               const bench::BenchArgs& args,
-                               std::size_t points, RunTrial&& run_trial,
-                               std::vector<PointTiming>& timing) {
-  std::vector<Fold> folds(points);
-  pool.map_fold(
-      points * args.runs,
-      [&](std::size_t i) {
-        const std::size_t p = i / args.runs;
-        const std::size_t r = i % args.runs;
-        // detlint:allow(wallclock) per-trial timing, reported on stderr
-        // only (report_timing) — never reaches the result sink.
-        const auto start = std::chrono::steady_clock::now();
-        auto trial = run_trial(p, exp::trial_seed(args.seed, p, r));
-        // detlint:allow(wallclock) stderr-only timing, as above.
-        const auto trial_end = std::chrono::steady_clock::now();
-        const std::chrono::duration<double> took = trial_end - start;
-        return std::make_tuple(std::move(trial.first), trial.second,
-                               took.count());
-      },
-      [&](std::size_t i, auto&& result) {
-        folds[i / args.runs].add(std::get<0>(result));
-        timing[i / args.runs].add(std::get<2>(result), std::get<1>(result));
-      });
-  return folds;
+  for (const auto& [key, value] : summaries) sink.value(block, key, value);
 }
 
 }  // namespace
@@ -533,8 +299,8 @@ int main(int argc, char** argv) {
     if (spec.record == run::ExperimentSpec::RecordKind::None) {
       std::fprintf(stderr,
                    "error: record=none records nothing to report; use "
-                   "record=estimation, record=graph, or "
-                   "record=graph-sampled\n");
+                   "record=%s\n",
+                   recordable_kinds().c_str());
       return 1;
     }
     if (spec.record != specs[0].record) {
@@ -569,66 +335,36 @@ int main(int argc, char** argv) {
   // detlint:allow(wallclock) sweep wall-clock for the stderr timing
   // report only; the sink output carries no wall-clock bytes.
   const auto sweep_start = std::chrono::steady_clock::now();
-  std::vector<PointTiming> timing(specs.size());
-  const auto record = specs[0].record;
-  if (record == run::ExperimentSpec::RecordKind::Graph) {
-    const auto folds = run_lab_grid<GraphFold>(
-        pool, args, specs.size(),
-        [&](std::size_t p, std::uint64_t seed) {
-          run::Experiment experiment(specs[p], seed, args.world_jobs);
-          experiment.run();
-          return std::make_pair(to_graph_series(*experiment.graph_stats()),
-                                experiment.world().network().drops());
-        },
-        timing);
-    for (std::size_t p = 0; p < specs.size(); ++p) {
-      emit_graph(sink, labels[p], folds[p], args.runs);
-    }
-  } else if (record == run::ExperimentSpec::RecordKind::Randomness) {
-    const auto folds = run_lab_grid<RandomnessFold>(
-        pool, args, specs.size(),
-        [&](std::size_t p, std::uint64_t seed) {
-          run::Experiment experiment(specs[p], seed, args.world_jobs);
-          experiment.run();
-          return std::make_pair(
-              to_randomness_series(*experiment.randomness()),
-              experiment.world().network().drops());
-        },
-        timing);
-    for (std::size_t p = 0; p < specs.size(); ++p) {
-      emit_randomness(sink, labels[p], folds[p], args.runs);
-    }
-  } else if (record == run::ExperimentSpec::RecordKind::GraphSampled) {
-    const auto folds = run_lab_grid<SampledFold>(
-        pool, args, specs.size(),
-        [&](std::size_t p, std::uint64_t seed) {
-          run::Experiment experiment(specs[p], seed, args.world_jobs);
-          experiment.run();
-          return std::make_pair(
-              to_sampled_series(*experiment.graph_sampled()),
-              experiment.world().network().drops());
-        },
-        timing);
-    for (std::size_t p = 0; p < specs.size(); ++p) {
-      emit_graph_sampled(sink, labels[p], folds[p], args.runs);
-    }
-  } else {
-    const auto folds = run_lab_grid<bench::SeriesFold>(
-        pool, args, specs.size(),
-        [&](std::size_t p, std::uint64_t seed) {
-          run::Experiment experiment(specs[p], seed, args.world_jobs);
-          experiment.run();
-          return std::make_pair(bench::to_series(*experiment.estimation()),
-                                experiment.world().network().drops());
-        },
-        timing);
-    for (std::size_t p = 0; p < specs.size(); ++p) {
-      emit_estimation(sink, labels[p], folds[p], args.runs);
-    }
+  std::vector<PointFold> folds(specs.size());
+  // Trials fold into their point in grid order, so the output is
+  // byte-identical for every --jobs.
+  pool.map_fold(
+      specs.size() * args.runs,
+      [&](std::size_t i) {
+        const std::size_t p = i / args.runs;
+        const std::size_t r = i % args.runs;
+        // detlint:allow(wallclock) per-trial timing, reported on stderr
+        // only (report_timing) — never reaches the result sink.
+        const auto start = std::chrono::steady_clock::now();
+        run::Experiment experiment(specs[p], exp::trial_seed(args.seed, p, r),
+                                   args.world_jobs);
+        experiment.run();
+        const run::Recorder& recorder = *experiment.recorder();
+        Trial trial{recorder.columns(), recorder.table(),
+                    experiment.world().network().drops()};
+        // detlint:allow(wallclock) stderr-only timing, as above.
+        const auto trial_end = std::chrono::steady_clock::now();
+        trial.seconds =
+            std::chrono::duration<double>(trial_end - start).count();
+        return trial;
+      },
+      [&](std::size_t i, Trial&& trial) { folds[i / args.runs].add(trial); });
+  for (std::size_t p = 0; p < specs.size(); ++p) {
+    emit(sink, labels[p], folds[p], args.runs);
   }
   // detlint:allow(wallclock) stderr-only timing report, as above.
   const auto sweep_end = std::chrono::steady_clock::now();
   const std::chrono::duration<double> elapsed = sweep_end - sweep_start;
-  report_timing(labels, timing, args, elapsed.count());
+  report_timing(labels, folds, args, elapsed.count());
   return 0;
 }
