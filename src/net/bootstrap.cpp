@@ -6,38 +6,30 @@
 
 namespace croupier::net {
 
-namespace {
-
-void registry_add(std::vector<NodeId>& pool,
-                  std::unordered_map<NodeId, std::size_t>& index, NodeId id) {
-  CROUPIER_ASSERT_MSG(!index.contains(id), "node registered twice");
-  index.emplace(id, pool.size());
-  pool.push_back(id);
-}
-
-void registry_remove(std::vector<NodeId>& pool,
-                     std::unordered_map<NodeId, std::size_t>& index,
-                     NodeId id) {
-  const auto it = index.find(id);
-  if (it == index.end()) return;
-  const std::size_t pos = it->second;
-  const NodeId last = pool.back();
-  pool[pos] = last;
-  index[last] = pos;
-  pool.pop_back();
-  index.erase(it);
-}
-
-}  // namespace
-
 void BootstrapServer::add(NodeId id, NatType type) {
-  registry_add(all_, index_all_, id);
-  if (type == NatType::Public) registry_add(publics_, index_public_, id);
+  CROUPIER_ASSERT_MSG(!index_.contains(id), "node registered twice");
+  Positions& pos = index_.emplace(id, Positions{all_.size(), kNotPublic});
+  all_.push_back(id);
+  if (type == NatType::Public) {
+    pos.pub = publics_.size();
+    publics_.push_back(id);
+  }
 }
 
 void BootstrapServer::remove(NodeId id) {
-  registry_remove(all_, index_all_, id);
-  registry_remove(publics_, index_public_, id);
+  const Positions* found = index_.find(id);
+  if (found == nullptr) return;
+  // Swap-with-last, re-pointing the moved id's `field` at slot i.
+  const auto swap_remove = [this](std::vector<NodeId>& pool, std::size_t i,
+                                  std::size_t Positions::*field) {
+    pool[i] = pool.back();
+    index_.at(pool[i]).*field = i;
+    pool.pop_back();
+  };
+  const Positions pos = *found;
+  swap_remove(all_, pos.all, &Positions::all);
+  if (pos.pub != kNotPublic) swap_remove(publics_, pos.pub, &Positions::pub);
+  index_.erase(id);
 }
 
 std::vector<NodeId> BootstrapServer::sample_from(

@@ -9,10 +9,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "net/address.hpp"
+#include "net/id_table.hpp"
 #include "sim/rng.hpp"
 
 namespace croupier::net {
@@ -34,17 +34,23 @@ class BootstrapServer {
 
   [[nodiscard]] std::size_t public_count() const { return publics_.size(); }
   [[nodiscard]] std::size_t total_count() const { return all_.size(); }
-  [[nodiscard]] bool known(NodeId id) const { return index_all_.contains(id); }
+  [[nodiscard]] bool known(NodeId id) const { return index_.contains(id); }
 
  private:
+  /// A registered node's positions in all_ and (if public) publics_.
+  struct Positions {
+    std::size_t all;
+    std::size_t pub;
+  };
+  static constexpr std::size_t kNotPublic = ~std::size_t{0};
+
   static std::vector<NodeId> sample_from(const std::vector<NodeId>& pool,
                                          std::size_t n, NodeId self,
                                          sim::RngStream& rng);
   // Registries support O(1) add/remove via swap-with-last.
   std::vector<NodeId> publics_;
-  std::unordered_map<NodeId, std::size_t> index_public_;
   std::vector<NodeId> all_;
-  std::unordered_map<NodeId, std::size_t> index_all_;
+  IdTable<Positions> index_;
 };
 
 }  // namespace croupier::net

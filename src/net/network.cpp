@@ -28,7 +28,7 @@ Network::Network(sim::Simulator& simulator,
               make_loss_model(LossConfig::uniform(loss_probability))) {}
 
 void Network::set_packet_config(const PacketConfig& cfg) {
-  CROUPIER_ASSERT_MSG(next_msg_id_ == 1 && meter_.per_node().empty(),
+  CROUPIER_ASSERT_MSG(next_msg_id_ == 1 && meter_.empty(),
                       "packet config must be set before traffic flows");
   packet_ = cfg;
   fragmenter_ = Fragmenter(cfg);
@@ -37,45 +37,39 @@ void Network::set_packet_config(const PacketConfig& cfg) {
 void Network::attach(NodeId id, const NatConfig& cfg,
                      MessageHandler& handler) {
   CROUPIER_ASSERT_MSG(!nodes_.contains(id), "NodeId already attached");
-  NodeState state;
+  NodeState& state = nodes_.emplace(id);
   state.cfg = cfg;
   state.handler = &handler;
   if (!cfg.behaves_public()) state.nat.emplace(cfg);
-  nodes_.emplace(id, std::move(state));
 }
 
 void Network::detach(NodeId id) {
-  const auto erased = nodes_.erase(id);
-  CROUPIER_ASSERT_MSG(erased == 1, "detach of unattached node");
+  const bool erased = nodes_.erase(id);
+  CROUPIER_ASSERT_MSG(erased, "detach of unattached node");
   buckets_.erase(id);
 }
 
 void Network::reclassify(NodeId id, const NatConfig& cfg) {
-  const auto it = nodes_.find(id);
-  CROUPIER_ASSERT_MSG(it != nodes_.end(), "reclassify of unattached node");
-  it->second.cfg = cfg;
-  it->second.nat.reset();
-  if (!cfg.behaves_public()) it->second.nat.emplace(cfg);
-  it->second.assemblies.clear();
+  NodeState& node = nodes_.at(id, "reclassify of unattached node");
+  node.cfg = cfg;
+  node.nat.reset();
+  if (!cfg.behaves_public()) node.nat.emplace(cfg);
+  node.assemblies.clear();
   buckets_.erase(id);
 }
 
 NatType Network::type_of(NodeId id) const {
-  const auto it = nodes_.find(id);
-  CROUPIER_ASSERT(it != nodes_.end());
-  return it->second.cfg.nat_type();
+  return nodes_.at(id).cfg.nat_type();
 }
 
 const NatBox* Network::nat_of(NodeId id) const {
-  const auto it = nodes_.find(id);
-  if (it == nodes_.end() || !it->second.nat.has_value()) return nullptr;
-  return &*it->second.nat;
+  const NodeState* node = nodes_.find(id);
+  if (node == nullptr || !node->nat.has_value()) return nullptr;
+  return &*node->nat;
 }
 
 IpAddr Network::local_ip(NodeId id) const {
-  const auto it = nodes_.find(id);
-  CROUPIER_ASSERT(it != nodes_.end());
-  switch (it->second.cfg.cls) {
+  switch (nodes_.at(id).cfg.cls) {
     case ConnectivityClass::Natted:
     case ConnectivityClass::UpnpIgd:
       // RFC1918-style address behind the gateway.
@@ -88,22 +82,20 @@ IpAddr Network::local_ip(NodeId id) const {
 }
 
 IpAddr Network::public_ip(NodeId id) const {
-  const auto it = nodes_.find(id);
-  CROUPIER_ASSERT(it != nodes_.end());
+  CROUPIER_ASSERT(nodes_.contains(id));
   // Deterministic distinct "public" address per node (each private node is
   // modelled behind its own gateway).
   return IpAddr{0x52000000u | (id & 0x00ffffffu)};
 }
 
 std::size_t Network::pending_reassemblies(NodeId id) const {
-  const auto it = nodes_.find(id);
-  return it == nodes_.end() ? 0 : it->second.assemblies.size();
+  const NodeState* node = nodes_.find(id);
+  return node == nullptr ? 0 : node->assemblies.size();
 }
 
 void Network::send(NodeId from, NodeId to, MessagePtr msg) {
   CROUPIER_ASSERT(msg != nullptr);
-  const auto from_it = nodes_.find(from);
-  CROUPIER_ASSERT_MSG(from_it != nodes_.end(), "sender not attached");
+  NodeState& sender = nodes_.at(from, "sender not attached");
 
   // Serialization cost is charged here so it runs on the worker when the
   // parallel engine is active.
@@ -112,9 +104,9 @@ void Network::send(NodeId from, NodeId to, MessagePtr msg) {
   // The sender's own gateway opens/refreshes a mapping toward `to`
   // regardless of whether the packet ultimately arrives. The box belongs
   // to the node this event is sharded on, so the mutation stays inline.
-  if (from_it->second.nat.has_value()) {
+  if (sender.nat.has_value()) {
     sim::conflict::record_write(from, "Network: sender NAT box");
-    from_it->second.nat->on_outbound(simulator_.now(), to);
+    sender.nat->on_outbound(simulator_.now(), to);
   }
 
   if (fragmenter_.needs_fragmentation(wire_bytes)) {
@@ -150,8 +142,8 @@ void Network::send(NodeId from, NodeId to, MessagePtr msg) {
 }
 
 NatType Network::class_or_public(NodeId id) const {
-  const auto it = nodes_.find(id);
-  return it == nodes_.end() ? NatType::Public : it->second.cfg.nat_type();
+  const NodeState* node = nodes_.find(id);
+  return node == nullptr ? NatType::Public : node->cfg.nat_type();
 }
 
 double Network::loss_probability(NodeId from, NodeId to) const {
@@ -166,14 +158,12 @@ double Network::loss_probability(NodeId from, NodeId to) const {
 
 sim::Duration Network::bucket_delay(NodeId from, std::size_t bytes) {
   if (packet_.bandwidth_bps == 0) return 0;
-  auto it = buckets_.find(from);
-  if (it == buckets_.end()) {
-    it = buckets_
-             .emplace(from, TokenBucket(packet_.bandwidth_bps,
-                                        packet_.burst_bytes()))
-             .first;
+  TokenBucket* bucket = buckets_.find(from);
+  if (bucket == nullptr) {
+    bucket = &buckets_.emplace(from, packet_.bandwidth_bps,
+                               packet_.burst_bytes());
   }
-  return it->second.charge(simulator_.now(), bytes);
+  return bucket->charge(simulator_.now(), bytes);
 }
 
 void Network::finish_send(NodeId from, NodeId to, MessagePtr msg,
@@ -231,97 +221,86 @@ void Network::finish_send_fragments(NodeId from, NodeId to, MessagePtr msg,
   }
 }
 
+template <Network::Count What>
+void Network::count(NodeId to, std::uint32_t n) {
+  if (!simulator_.deferring()) {
+    // Sequential engine (or serial-affinity event): no closure.
+    apply(What, to, n);
+  } else {
+    simulator_.defer([this, to, n] { apply(What, to, n); });
+  }
+}
+
+void Network::apply(Count what, NodeId to, std::uint32_t n) {
+  switch (what) {
+    case Count::DeadFragment:
+      ++drops_.fragments_lost;
+      [[fallthrough]];
+    case Count::DeadReceiver:
+      ++drops_.dead_receiver;
+      drops_.dead_receiver_bytes += n;
+      return;
+    case Count::FilteredFragment:
+      ++drops_.fragments_lost;
+      [[fallthrough]];
+    case Count::NatFiltered:
+      ++drops_.nat_filtered;
+      drops_.nat_filtered_bytes += n;
+      return;
+    case Count::Delivered:
+      ++drops_.delivered;
+      [[fallthrough]];
+    case Count::FragmentDelivered:
+      drops_.delivered_bytes += n;
+      meter_.on_deliver(to, n);
+      return;
+    case Count::Reassembled:
+      ++drops_.delivered;
+      drops_.fragments_reassembled += n;
+      return;
+    case Count::Expired:
+      drops_.fragments_expired += n;
+      return;
+  }
+}
+
+Network::NodeState* Network::admit(NodeId from, NodeId to,
+                                   std::size_t bytes, bool fragment) {
+  const auto n = static_cast<std::uint32_t>(bytes);
+  NodeState* node = nodes_.find(to);
+  if (node == nullptr) {
+    fragment ? count<Count::DeadFragment>(to, n)
+             : count<Count::DeadReceiver>(to, n);
+    return nullptr;
+  }
+  if (node->nat.has_value() &&
+      !node->nat->allows_inbound(simulator_.now(), from)) {
+    fragment ? count<Count::FilteredFragment>(to, n)
+             : count<Count::NatFiltered>(to, n);
+    return nullptr;
+  }
+  fragment ? count<Count::FragmentDelivered>(to, n)
+           : count<Count::Delivered>(to, n);
+  return node;
+}
+
 void Network::deliver(NodeId from, NodeId to, MessagePtr msg,
                       std::size_t bytes) {
-  const bool deferring = simulator_.deferring();
-  const auto to_it = nodes_.find(to);
-  if (to_it == nodes_.end()) {
-    if (!deferring) {
-      ++drops_.dead_receiver;
-      drops_.dead_receiver_bytes += bytes;
-    } else {
-      simulator_.defer([this, bytes] {
-        ++drops_.dead_receiver;
-        drops_.dead_receiver_bytes += bytes;
-      });
-    }
-    return;
-  }
-  if (to_it->second.nat.has_value() &&
-      !to_it->second.nat->allows_inbound(simulator_.now(), from)) {
-    if (!deferring) {
-      ++drops_.nat_filtered;
-      drops_.nat_filtered_bytes += bytes;
-    } else {
-      simulator_.defer([this, bytes] {
-        ++drops_.nat_filtered;
-        drops_.nat_filtered_bytes += bytes;
-      });
-    }
-    return;
-  }
-  if (!deferring) {
-    ++drops_.delivered;
-    drops_.delivered_bytes += bytes;
-    meter_.on_deliver(to, bytes);
-  } else {
-    simulator_.defer([this, to, bytes] {
-      ++drops_.delivered;
-      drops_.delivered_bytes += bytes;
-      meter_.on_deliver(to, bytes);
-    });
-  }
+  NodeState* node = admit(from, to, bytes, /*fragment=*/false);
+  if (node == nullptr) return;
   sim::conflict::record_write(to, "Network: receiver handler dispatch");
-  to_it->second.handler->on_message(from, *msg);
+  node->handler->on_message(from, *msg);
 }
 
 void Network::deliver_fragment(NodeId from, NodeId to, MessagePtr msg,
                                Fragment frag, std::size_t bytes) {
-  const bool deferring = simulator_.deferring();
-  const auto to_it = nodes_.find(to);
-  if (to_it == nodes_.end()) {
-    if (!deferring) {
-      ++drops_.dead_receiver;
-      drops_.dead_receiver_bytes += bytes;
-      ++drops_.fragments_lost;
-    } else {
-      simulator_.defer([this, bytes] {
-        ++drops_.dead_receiver;
-        drops_.dead_receiver_bytes += bytes;
-        ++drops_.fragments_lost;
-      });
-    }
-    return;
-  }
-  if (to_it->second.nat.has_value() &&
-      !to_it->second.nat->allows_inbound(simulator_.now(), from)) {
-    if (!deferring) {
-      ++drops_.nat_filtered;
-      drops_.nat_filtered_bytes += bytes;
-      ++drops_.fragments_lost;
-    } else {
-      simulator_.defer([this, bytes] {
-        ++drops_.nat_filtered;
-        drops_.nat_filtered_bytes += bytes;
-        ++drops_.fragments_lost;
-      });
-    }
-    return;
-  }
-  if (!deferring) {
-    drops_.delivered_bytes += bytes;
-    meter_.on_deliver(to, bytes);
-  } else {
-    simulator_.defer([this, to, bytes] {
-      drops_.delivered_bytes += bytes;
-      meter_.on_deliver(to, bytes);
-    });
-  }
+  NodeState* node = admit(from, to, bytes, /*fragment=*/true);
+  if (node == nullptr) return;
 
   // Reassembly buffers are the receiving node's own state (this event is
-  // sharded on `to`, like the NAT box above), so the mutation is inline.
+  // sharded on `to`, like its NAT box), so the mutation is inline.
   sim::conflict::record_write(to, "Network: reassembly buffers");
-  auto& assemblies = to_it->second.assemblies;
+  auto& assemblies = node->assemblies;
   auto it = assemblies.find(frag.header.msg_id);
   if (it == assemblies.end()) {
     it = assemblies
@@ -352,35 +331,21 @@ void Network::deliver_fragment(NodeId from, NodeId to, MessagePtr msg,
     CROUPIER_ASSERT_MSG(reassembled.has_value() &&
                             reassembled->size() == frag.header.total_len,
                         "reassembly yielded the wrong byte count");
-    const auto held =
-        static_cast<std::uint64_t>(it->second.frags.fragments_held());
-    if (!deferring) {
-      ++drops_.delivered;
-      drops_.fragments_reassembled += held;
-    } else {
-      simulator_.defer([this, held] {
-        ++drops_.delivered;
-        drops_.fragments_reassembled += held;
-      });
-    }
-    to_it->second.handler->on_message(from, *it->second.msg);
+    count<Count::Reassembled>(
+        to, static_cast<std::uint32_t>(it->second.frags.fragments_held()));
+    node->handler->on_message(from, *it->second.msg);
   }
 }
 
 void Network::expire_assembly(NodeId to, std::uint64_t msg_id) {
-  const auto to_it = nodes_.find(to);
-  if (to_it == nodes_.end()) return;  // node died; state already gone
-  auto& assemblies = to_it->second.assemblies;
+  NodeState* node = nodes_.find(to);
+  if (node == nullptr) return;  // node died; state already gone
+  auto& assemblies = node->assemblies;
   const auto it = assemblies.find(msg_id);
   if (it == assemblies.end()) return;
   if (!it->second.frags.complete()) {
-    const auto held =
-        static_cast<std::uint64_t>(it->second.frags.fragments_held());
-    if (!simulator_.deferring()) {
-      drops_.fragments_expired += held;
-    } else {
-      simulator_.defer([this, held] { drops_.fragments_expired += held; });
-    }
+    count<Count::Expired>(
+        to, static_cast<std::uint32_t>(it->second.frags.fragments_held()));
   }
   assemblies.erase(it);
 }

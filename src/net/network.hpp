@@ -28,6 +28,10 @@
 // buffers — sharded by receiver exactly like the NAT box) is mutated
 // inline.  Under the sequential engine defer() degenerates to an
 // immediate call and nothing changes.
+//
+// Per-node state and the per-sender token buckets are id-indexed
+// (net/id_table.hpp); attach() may reallocate them, so no reference to a
+// node's state is held across it.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +42,7 @@
 #include <vector>
 
 #include "net/address.hpp"
+#include "net/id_table.hpp"
 #include "net/latency.hpp"
 #include "net/loss.hpp"
 #include "net/message.hpp"
@@ -195,6 +200,30 @@ class Network {
   /// fragments as expired when the message never completed.
   void expire_assembly(NodeId to, std::uint64_t msg_id);
 
+  /// Receiver-side checks of deliver and deliver_fragment: the live
+  /// receiver whose NAT admits `from`, with the datagram counted as
+  /// delivered; else nullptr, with the drop counted.
+  NodeState* admit(NodeId from, NodeId to, std::size_t bytes, bool fragment);
+
+  /// One update of drops_/meter_; `n` is bytes, or fragments for the
+  /// last two.
+  enum class Count : std::uint8_t {
+    DeadReceiver,
+    NatFiltered,
+    Delivered,
+    DeadFragment,
+    FilteredFragment,
+    FragmentDelivered,
+    Reassembled,
+    Expired,
+  };
+  /// Applies `What` now, or defers it out of a parallel batch. A template
+  /// argument, so the closure is [this, to, n]: 16 bytes, inside
+  /// std::function's inline buffer.
+  template <Count What>
+  void count(NodeId to, std::uint32_t n);
+  void apply(Count what, NodeId to, std::uint32_t n);
+
   /// Sender's token-bucket queueing delay for one datagram (0 when
   /// bandwidth metering is off). Serial-half only.
   sim::Duration bucket_delay(NodeId from, std::size_t bytes);
@@ -216,10 +245,9 @@ class Network {
   PacketConfig packet_;
   Fragmenter fragmenter_{PacketConfig{}};
   std::uint64_t next_msg_id_ = 1;  // serial half only
-  std::unordered_map<NodeId, NodeState> nodes_;
-  /// Per-sender buckets, created on first charge; serial-half only,
-  /// never iterated.
-  std::unordered_map<NodeId, TokenBucket> buckets_;
+  IdTable<NodeState> nodes_;
+  /// Per-sender buckets, created on first charge; serial-half only.
+  IdTable<TokenBucket> buckets_;
   TrafficMeter meter_;
   DropStats drops_;
   DeliveryAffinityFn delivery_affinity_;

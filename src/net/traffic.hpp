@@ -7,8 +7,10 @@
 // bytes-per-second per node class at its end.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "net/address.hpp"
 
@@ -32,33 +34,48 @@ struct TrafficTotals {
 class TrafficMeter {
  public:
   void on_send(NodeId node, std::size_t bytes) {
-    auto& t = per_node_[node];
+    auto& t = slot(node);
     t.bytes_sent += bytes;
     ++t.msgs_sent;
   }
 
   void on_deliver(NodeId node, std::size_t bytes) {
-    auto& t = per_node_[node];
+    auto& t = slot(node);
     t.bytes_received += bytes;
     ++t.msgs_received;
   }
 
   /// Totals for one node (zeros if it never sent or received).
   [[nodiscard]] TrafficTotals totals(NodeId node) const {
-    const auto it = per_node_.find(node);
-    return it == per_node_.end() ? TrafficTotals{} : it->second;
+    return node < per_node_.size() ? per_node_[node] : TrafficTotals{};
   }
 
-  [[nodiscard]] const std::unordered_map<NodeId, TrafficTotals>& per_node()
+  /// (id, totals) of every node charged since reset(), in ascending id
+  /// order.
+  [[nodiscard]] std::vector<std::pair<NodeId, TrafficTotals>> per_node()
       const {
-    return per_node_;
+    std::vector<std::pair<NodeId, TrafficTotals>> out;
+    for (NodeId id = 0; id < per_node_.size(); ++id) {
+      const TrafficTotals& t = per_node_[id];
+      if (t.msgs_sent + t.msgs_received > 0) out.emplace_back(id, t);
+    }
+    return out;
   }
+
+  /// True when nothing was charged since reset().
+  [[nodiscard]] bool empty() const { return per_node_.empty(); }
 
   /// Starts a fresh measurement window.
   void reset() { per_node_.clear(); }
 
  private:
-  std::unordered_map<NodeId, TrafficTotals> per_node_;
+  TrafficTotals& slot(NodeId node) {
+    if (node >= per_node_.size()) per_node_.resize(std::size_t{node} + 1);
+    return per_node_[node];
+  }
+
+  /// Id-indexed, grown on charge: ids past the end had no traffic.
+  std::vector<TrafficTotals> per_node_;
 };
 
 }  // namespace croupier::net

@@ -10,12 +10,12 @@
 namespace croupier::run {
 
 struct World::NodeRuntime final : net::MessageHandler {
-  World* world = nullptr;
   net::NodeId id = net::kNilNode;
   net::NatConfig nat_cfg;
   net::NatType identified = net::NatType::Private;
   bool pss_started = false;
   std::uint64_t rounds = 0;
+  std::size_t alive_pos = 0;  // index in World::alive_ids_
   double period_scale = 1.0;
   /// Bumped by reclassify(): pending round events from the previous
   /// protocol instance carry the old epoch and become no-ops, so a node
@@ -119,7 +119,6 @@ net::NodeId World::spawn_seeded(const net::NatConfig& nat) {
 net::NodeId World::spawn_impl(const net::NatConfig& nat, bool skip_natid) {
   const net::NodeId id = next_id_++;
   auto node = std::make_unique<NodeRuntime>();
-  node->world = this;
   node->id = id;
   node->nat_cfg = nat;
   node->rng = spawn_rng_.fork(id);
@@ -128,12 +127,12 @@ net::NodeId World::spawn_impl(const net::NatConfig& nat, bool skip_natid) {
   if (nat.nat_type() == net::NatType::Private) {
     node->period_scale *= cfg_.private_round_scale;
   }
+  node->alive_pos = alive_ids_.size();
 
   network_->attach(id, nat, *node);
 
   NodeRuntime& ref = *node;
   nodes_.emplace(id, std::move(node));
-  alive_index_.emplace(id, alive_ids_.size());
   alive_ids_.push_back(id);
   if (nat.nat_type() == net::NatType::Public) ++public_count_;
 
@@ -171,10 +170,10 @@ void World::start_natid(NodeRuntime& node) {
       id, *network_, bootstrap_,
       node.rng.fork(epoch_tag(0x71D, node.round_epoch)), nid_cfg,
       [this, id](net::NatType type) {
-        const auto it = nodes_.find(id);
-        if (it == nodes_.end()) return;
-        it->second->identified = type;
-        start_pss(*it->second);
+        const auto* node = nodes_.find(id);
+        if (node == nullptr) return;
+        (*node)->identified = type;
+        start_pss(**node);
       });
   node.natid_client->start();
 }
@@ -215,9 +214,9 @@ void World::start_pss(NodeRuntime& node) {
 }
 
 void World::schedule_round(net::NodeId id, std::uint32_t epoch) {
-  const auto it = nodes_.find(id);
-  if (it == nodes_.end()) return;  // died while the event was pending
-  NodeRuntime& node = *it->second;
+  const auto* found = nodes_.find(id);
+  if (found == nullptr) return;  // died while the event was pending
+  NodeRuntime& node = **found;
   if (node.pss == nullptr || node.round_epoch != epoch) return;
 
   sim::conflict::record_write(id, "World: per-node runtime (round)");
@@ -234,9 +233,7 @@ void World::schedule_round(net::NodeId id, std::uint32_t epoch) {
 }
 
 void World::reclassify(net::NodeId id, const net::NatConfig& nat) {
-  const auto it = nodes_.find(id);
-  CROUPIER_ASSERT_MSG(it != nodes_.end(), "reclassify of dead node");
-  NodeRuntime& node = *it->second;
+  NodeRuntime& node = *nodes_.at(id, "reclassify of dead node");
 
   if (node.nat_cfg.nat_type() == net::NatType::Public) {
     CROUPIER_ASSERT(public_count_ > 0);
@@ -271,15 +268,14 @@ void World::reclassify(net::NodeId id, const net::NatConfig& nat) {
 }
 
 void World::kill(net::NodeId id) {
-  const auto it = nodes_.find(id);
-  CROUPIER_ASSERT_MSG(it != nodes_.end(), "kill of dead node");
+  NodeRuntime& node = *nodes_.at(id, "kill of dead node");
 
   ++kill_count_;
-  if (it->second->pss != nullptr) {
+  if (node.pss != nullptr) {
     CROUPIER_ASSERT(gossiping_count_ > 0);
     --gossiping_count_;
   }
-  if (it->second->nat_cfg.nat_type() == net::NatType::Public) {
+  if (node.nat_cfg.nat_type() == net::NatType::Public) {
     CROUPIER_ASSERT(public_count_ > 0);
     --public_count_;
   }
@@ -287,14 +283,12 @@ void World::kill(net::NodeId id) {
   if (bootstrap_.known(id)) bootstrap_.remove(id);
 
   // Swap-remove from the dense alive list.
-  const std::size_t pos = alive_index_.at(id);
   const net::NodeId last = alive_ids_.back();
-  alive_ids_[pos] = last;
-  alive_index_[last] = pos;
+  alive_ids_[node.alive_pos] = last;
+  nodes_.at(last)->alive_pos = node.alive_pos;
   alive_ids_.pop_back();
-  alive_index_.erase(id);
 
-  nodes_.erase(it);
+  nodes_.erase(id);
 }
 
 std::size_t World::count(net::NatType type) const {
@@ -303,42 +297,36 @@ std::size_t World::count(net::NatType type) const {
 }
 
 double World::true_ratio() const {
-  if (nodes_.empty()) return 0.0;
+  if (nodes_.size() == 0) return 0.0;
   return static_cast<double>(public_count_) /
          static_cast<double>(nodes_.size());
 }
 
 pss::PeerSampler* World::sampler(net::NodeId id) {
-  const auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second->pss.get();
+  const auto* node = nodes_.find(id);
+  return node == nullptr ? nullptr : (*node)->pss.get();
 }
 
 const pss::PeerSampler* World::sampler(net::NodeId id) const {
-  const auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second->pss.get();
+  const auto* node = nodes_.find(id);
+  return node == nullptr ? nullptr : (*node)->pss.get();
 }
 
 net::NatType World::type_of(net::NodeId id) const {
-  const auto it = nodes_.find(id);
-  CROUPIER_ASSERT(it != nodes_.end());
-  return it->second->nat_cfg.nat_type();
+  return nodes_.at(id)->nat_cfg.nat_type();
 }
 
 const net::NatConfig& World::nat_config_of(net::NodeId id) const {
-  const auto it = nodes_.find(id);
-  CROUPIER_ASSERT(it != nodes_.end());
-  return it->second->nat_cfg;
+  return nodes_.at(id)->nat_cfg;
 }
 
 net::NatType World::identified_type_of(net::NodeId id) const {
-  const auto it = nodes_.find(id);
-  CROUPIER_ASSERT(it != nodes_.end());
-  return it->second->identified;
+  return nodes_.at(id)->identified;
 }
 
 std::uint64_t World::rounds_of(net::NodeId id) const {
-  const auto it = nodes_.find(id);
-  return it == nodes_.end() ? 0 : it->second->rounds;
+  const auto* node = nodes_.find(id);
+  return node == nullptr ? 0 : (*node)->rounds;
 }
 
 std::vector<net::NodeId> World::sorted_ids() const {
@@ -350,8 +338,8 @@ std::vector<net::NodeId> World::sorted_ids() const {
 void World::for_each_sampler(
     const std::function<void(net::NodeId, pss::PeerSampler&)>& fn) const {
   for (const net::NodeId id : sorted_ids()) {
-    const auto& node = nodes_.at(id);
-    if (node->pss != nullptr) fn(id, *node->pss);
+    const NodeRuntime& node = *nodes_.at(id);
+    if (node.pss != nullptr) fn(id, *node.pss);
   }
 }
 
@@ -360,11 +348,11 @@ metrics::OverlayGraph World::snapshot_overlay(bool usable_only) const {
   adjacency.reserve(nodes_.size());
   const auto alive_fn = [this](net::NodeId id) { return alive(id); };
   for (const net::NodeId id : sorted_ids()) {
-    const auto& node = nodes_.at(id);
-    if (node->pss == nullptr) continue;
+    const NodeRuntime& node = *nodes_.at(id);
+    if (node.pss == nullptr) continue;
     adjacency.emplace_back(id, usable_only
-                                   ? node->pss->usable_neighbors(alive_fn)
-                                   : node->pss->out_neighbors());
+                                   ? node.pss->usable_neighbors(alive_fn)
+                                   : node.pss->out_neighbors());
   }
   return metrics::OverlayGraph::build(adjacency);
 }
@@ -373,24 +361,22 @@ std::vector<std::pair<net::NodeId, net::NatType>> World::class_map() const {
   std::vector<std::pair<net::NodeId, net::NatType>> out;
   out.reserve(nodes_.size());
   for (const net::NodeId id : sorted_ids()) {
-    const auto& node = nodes_.at(id);
-    if (node->pss != nullptr) out.emplace_back(id, node->nat_cfg.nat_type());
+    const NodeRuntime& node = *nodes_.at(id);
+    if (node.pss != nullptr) out.emplace_back(id, node.nat_cfg.nat_type());
   }
   return out;
 }
 
 void World::set_app_handler(net::NodeId id, net::MessageHandler* handler) {
-  const auto it = nodes_.find(id);
-  CROUPIER_ASSERT_MSG(it != nodes_.end(), "app handler for dead node");
-  it->second->app = handler;
+  nodes_.at(id, "app handler for dead node")->app = handler;
 }
 
 std::vector<double> World::ratio_estimates(std::uint64_t min_rounds) const {
   std::vector<double> out;
   for (const net::NodeId id : sorted_ids()) {
-    const auto& node = nodes_.at(id);
-    if (node->pss == nullptr || node->rounds < min_rounds) continue;
-    if (const auto est = node->pss->ratio_estimate(); est.has_value()) {
+    const NodeRuntime& node = *nodes_.at(id);
+    if (node.pss == nullptr || node.rounds < min_rounds) continue;
+    if (const auto est = node.pss->ratio_estimate(); est.has_value()) {
       out.push_back(*est);
     }
   }

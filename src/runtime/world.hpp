@@ -10,13 +10,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "metrics/graph.hpp"
 #include "natid/natid.hpp"
 #include "net/bootstrap.hpp"
+#include "net/id_table.hpp"
 #include "net/network.hpp"
 #include "pss/protocol.hpp"
 #include "sim/parallel_executor.hpp"
@@ -212,9 +212,9 @@ class World {
   // Declared before nodes_: views release their blocks into the arena on
   // node destruction, so the arena must be destroyed after the nodes.
   pss::ViewArena view_arena_;
-  std::unordered_map<net::NodeId, std::unique_ptr<NodeRuntime>> nodes_;
+  // Boxed: Network holds each node's MessageHandler& across table growth.
+  net::IdTable<std::unique_ptr<NodeRuntime>> nodes_;
   std::vector<net::NodeId> alive_ids_;
-  std::unordered_map<net::NodeId, std::size_t> alive_index_;
   net::NodeId next_id_ = 1;
   std::size_t public_count_ = 0;  // ground truth over live nodes
   std::size_t gossiping_count_ = 0;

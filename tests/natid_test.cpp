@@ -125,7 +125,6 @@ TEST(NatId, UsesThreeMessagesOnHappyPath) {
   cfg.parallel_probes = 1;  // single probe chain: exactly 3 messages
   h.classify(net::NatConfig::open(), cfg);
   std::uint64_t total_msgs = 0;
-  // detlint:allow(unordered-iter) order-insensitive sum over the meter map
   for (const auto& [id, t] : h.network->meter().per_node()) {
     total_msgs += t.msgs_sent;
   }

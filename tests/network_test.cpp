@@ -5,8 +5,10 @@
 #include <memory>
 #include <vector>
 
+#include "net/bootstrap.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
+#include "test_util.hpp"
 
 namespace croupier::net {
 namespace {
@@ -281,6 +283,27 @@ TEST(Network, MeterResetClearsWindow) {
   EXPECT_EQ(f.net->meter().totals(1).bytes_sent, 0u);
 }
 
+TEST(Network, MeterPerNodeIsAscendingSinceReset) {
+  Fixture f;
+  f.net->attach(3, NatConfig::open(), f.inbox_a);
+  f.net->attach(1, NatConfig::open(), f.inbox_b);
+  f.net->attach(7, NatConfig::open(), f.inbox_c);
+  f.net->send(3, 1, std::make_shared<TestMsg>());
+  f.sim.run();
+  auto ids = [&] {
+    std::vector<NodeId> out;
+    for (const auto& [id, t] : f.net->meter().per_node()) out.push_back(id);
+    return out;
+  };
+  EXPECT_EQ(ids(), (std::vector<NodeId>{1, 3}));  // 7 had no traffic
+  f.net->meter().reset();
+  EXPECT_TRUE(f.net->meter().empty());
+  EXPECT_TRUE(ids().empty());
+  f.net->send(7, 3, std::make_shared<TestMsg>());
+  f.sim.run();
+  EXPECT_EQ(ids(), (std::vector<NodeId>{3, 7}));
+}
+
 TEST(Network, LocalAndPublicIpsDifferOnlyBehindNat) {
   Fixture f;
   f.net->attach(1, NatConfig::open(), f.inbox_a);
@@ -319,6 +342,64 @@ TEST(Network, AttachedCountTracksLifecycle) {
   EXPECT_EQ(f.net->attached_count(), 1u);
   EXPECT_FALSE(f.net->attached(1));
   EXPECT_TRUE(f.net->attached(2));
+}
+
+TEST(Network, IdsOutsideTheTableAreAbsent) {
+  // kNilNode and an id far past every attached one: lookups report
+  // absent/zero and never fail, and a send to either is one dead-receiver
+  // drop.
+  constexpr NodeId kFar = NodeId{1} << 20;
+  Fixture f;
+  f.net->attach(1, NatConfig::open(), f.inbox_a);
+  f.net->send(1, kNilNode, std::make_shared<TestMsg>());
+  f.sim.run();
+  EXPECT_EQ(f.net->drops().dead_receiver, 1u);
+  f.net->send(1, kFar, std::make_shared<TestMsg>());
+  f.sim.run();
+  EXPECT_EQ(f.net->drops().dead_receiver, 2u);
+  for (const NodeId id : {kNilNode, kFar}) {
+    EXPECT_FALSE(f.net->attached(id));
+    EXPECT_EQ(f.net->nat_of(id), nullptr);
+    EXPECT_EQ(f.net->pending_reassemblies(id), 0u);
+    EXPECT_EQ(f.net->meter().totals(id).msgs_received, 0u);
+  }
+
+  BootstrapServer bootstrap;
+  bootstrap.add(1, NatType::Public);
+  for (const NodeId id : {kNilNode, kFar}) {
+    EXPECT_FALSE(bootstrap.known(id));
+    bootstrap.remove(id);  // no-op
+  }
+  EXPECT_EQ(bootstrap.total_count(), 1u);
+  EXPECT_TRUE(bootstrap.known(1));
+
+  run::World world(croupier::testing::fast_world_config(),
+                   run::make_croupier_factory({}));
+  croupier::testing::populate(world, 2, 2);
+  world.run_for(sec(3));
+  for (const NodeId id : {kNilNode, kFar}) {
+    EXPECT_FALSE(world.alive(id));
+    EXPECT_EQ(world.sampler(id), nullptr);
+    EXPECT_EQ(world.rounds_of(id), 0u);
+  }
+}
+
+TEST(Network, DetachThenReattachSameId) {
+  Fixture f;
+  f.net->attach(1, NatConfig::open(), f.inbox_a);
+  f.net->attach(2, NatConfig::natted(), f.inbox_b);
+  f.net->detach(2);
+  EXPECT_FALSE(f.net->attached(2));
+  f.net->attach(2, NatConfig::open(), f.inbox_c);
+  EXPECT_TRUE(f.net->attached(2));
+  EXPECT_EQ(f.net->type_of(2), NatType::Public);
+  EXPECT_EQ(f.net->nat_of(2), nullptr);
+  f.net->send(1, 2, std::make_shared<TestMsg>(5));
+  f.sim.run();
+  EXPECT_TRUE(f.inbox_b.received.empty());
+  ASSERT_EQ(f.inbox_c.received.size(), 1u);
+  EXPECT_EQ(f.inbox_c.received[0], std::make_pair(NodeId{1}, 5u));
+  EXPECT_EQ(f.net->drops().delivered, 1u);
 }
 
 TEST(Network, IpToStringFormats) {

@@ -166,7 +166,6 @@ TEST(Nylon, KeepalivesGenerateTraffic) {
   // Count keepalive messages: with 10 nodes / RVP links present, traffic
   // clearly exceeds the two shuffle messages per round per node.
   std::uint64_t msgs = 0;
-  // detlint:allow(unordered-iter) order-insensitive sum over the meter map
   for (const auto& [id, t] : world.network().meter().per_node()) {
     msgs += t.msgs_sent;
   }

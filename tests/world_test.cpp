@@ -60,6 +60,29 @@ TEST(World, IdsNeverReused) {
   EXPECT_NE(a, b);
 }
 
+TEST(World, AliveIdsOrderIsSwapRemove) {
+  // Scenario victim draws and perfbench churn index into alive_ids(), so
+  // its exact order is part of every churn run's output: spawns append,
+  // kills move the last id into the hole, reclassify keeps the slot.
+  auto world = make_world();
+  populate(world, 3, 5);  // ids 1..8
+  world.kill(3);
+  world.reclassify(5, net::NatConfig::open());
+  world.kill(1);
+  world.spawn(net::NatConfig::open());  // id 9
+  world.kill(9);
+  world.kill(6);
+  world.spawn(net::NatConfig::natted());  // id 10
+  world.reclassify(2, net::NatConfig::natted());
+  world.kill(7);
+  world.spawn(net::NatConfig::open());  // id 11
+  world.run_for(sim::sec(3));
+  const std::vector<net::NodeId> expected = {10, 2, 8, 4, 5, 11};
+  EXPECT_EQ(world.alive_ids(), expected);
+  EXPECT_EQ(world.alive_count(), expected.size());
+  EXPECT_EQ(world.count(net::NatType::Public), 2u);  // 5 and 11
+}
+
 TEST(World, RoundsExecuteAtRoundPeriod) {
   auto world = make_world();
   const auto id = world.spawn(net::NatConfig::open());
