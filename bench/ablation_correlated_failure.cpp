@@ -89,23 +89,23 @@ int main(int argc, char** argv) {
 
   // Grid: (failure level x system x mode), flattened so every cell is
   // its own parallel trial.
-  const std::size_t points =
-      std::size(fail_levels) * std::size(systems) * std::size(modes);
+  std::vector<run::ExperimentSpec> specs;
+  for (const int level : fail_levels) {
+    for (const System& system : systems) {
+      for (const Mode& mode : modes) {
+        auto& spec = specs.emplace_back(bench::paper_spec(n, 60.001));
+        spec.protocol = system.protocol;
+        spec.failure_frac = static_cast<double>(level) / 100.0;
+        spec.failure_at_s = 60;
+        spec.failure_corr = mode.corr;
+        spec.record = run::ExperimentSpec::RecordKind::None;
+      }
+    }
+  }
   const auto grid = bench::run_trial_grid(
-      pool, args, points, [&](std::size_t p, std::uint64_t seed) {
-        const int level =
-            fail_levels[p / (std::size(systems) * std::size(modes))];
-        const System& system =
-            systems[(p / std::size(modes)) % std::size(systems)];
-        const Mode& mode = modes[p % std::size(modes)];
-        return run_failure(
-            bench::paper_spec(n, 60.001)
-                .protocol(system.protocol)
-                .correlated_failure(static_cast<double>(level) / 100.0, 60,
-                                    mode.corr)
-                .record_nothing()
-                .build(),
-            seed, args.world_jobs);
+      pool, args, specs,
+      [&](const run::ExperimentSpec& spec, std::uint64_t seed) {
+        return run_failure(spec, seed, args.world_jobs);
       });
 
   const auto cell = [&](std::size_t li, std::size_t si, std::size_t mi)

@@ -37,15 +37,17 @@ int main(int argc, char** argv) {
   sink.raw(exp::strf("%-8s %12s %12s %14s %15s", "limit", "avg-err",
                      "max-err", "pub-load(B/s)", "priv-load(B/s)"));
 
+  std::vector<run::ExperimentSpec> specs;
+  for (const std::size_t limit : limits) {
+    auto& spec = specs.emplace_back(
+        bench::paper_spec(n, sim::to_seconds(warmup + window)));
+    spec.protocol =
+        exp::strf("croupier:alpha=25,gamma=50,share_limit=%zu", limit);
+  }
   const auto grid = bench::run_trial_grid(
-      pool, args, std::size(limits), [&](std::size_t p, std::uint64_t seed) {
-        run::Experiment experiment(
-            bench::paper_spec(n, sim::to_seconds(warmup + window))
-                .protocol(exp::strf("croupier:alpha=25,gamma=50,"
-                                    "share_limit=%zu",
-                                    limits[p]))
-                .build(),
-            seed, args.world_jobs);
+      pool, args, specs,
+      [&](const run::ExperimentSpec& spec, std::uint64_t seed) {
+        run::Experiment experiment(spec, seed, args.world_jobs);
         experiment.run_until(warmup);
         experiment.world().network().meter().reset();
         experiment.run_until(warmup + window);

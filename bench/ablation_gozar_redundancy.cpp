@@ -34,15 +34,17 @@ int main(int argc, char** argv) {
   sink.raw(exp::strf("%-12s %14s %15s %18s", "redundancy", "pub-load(B/s)",
                      "priv-load(B/s)", "cluster@80%fail"));
 
+  std::vector<run::ExperimentSpec> specs;
+  for (const std::size_t redundancy : redundancies) {
+    auto& spec = specs.emplace_back(
+        bench::paper_spec(n, sim::to_seconds(warmup + window) + 0.001));
+    spec.protocol = exp::strf("gozar:redundancy=%zu", redundancy);
+    spec.record = run::ExperimentSpec::RecordKind::None;
+  }
   const auto grid = bench::run_trial_grid(
-      pool, args, std::size(redundancies),
-      [&](std::size_t p, std::uint64_t seed) {
-        run::Experiment experiment(
-            bench::paper_spec(n, sim::to_seconds(warmup + window) + 0.001)
-                .protocol(exp::strf("gozar:redundancy=%zu", redundancies[p]))
-                .record_nothing()
-                .build(),
-            seed, args.world_jobs);
+      pool, args, specs,
+      [&](const run::ExperimentSpec& spec, std::uint64_t seed) {
+        run::Experiment experiment(spec, seed, args.world_jobs);
         experiment.run_until(warmup);
         experiment.world().network().meter().reset();
         experiment.run_until(warmup + window);

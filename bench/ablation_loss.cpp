@@ -48,14 +48,16 @@ int main(int argc, char** argv) {
   sink.raw(exp::strf("%-8s %12s %12s %14s %12s", "loss", "avg-err",
                      "max-err", "biggest-cluster", "apl"));
 
+  std::vector<run::ExperimentSpec> specs;
+  for (const double loss : losses) {
+    auto& spec = specs.emplace_back(bench::paper_spec(n, duration));
+    spec.protocol = bench::croupier_proto(25, 50);
+    spec.loss = loss;
+  }
   const auto grid = bench::run_trial_grid(
-      pool, args, std::size(losses), [&](std::size_t p, std::uint64_t seed) {
-        run::Experiment experiment(
-            bench::paper_spec(n, duration)
-                .protocol(bench::croupier_proto(25, 50))
-                .loss(losses[p])
-                .build(),
-            seed, args.world_jobs);
+      pool, args, specs,
+      [&](const run::ExperimentSpec& spec, std::uint64_t seed) {
+        run::Experiment experiment(spec, seed, args.world_jobs);
         experiment.run();
 
         TrialResult res;
@@ -114,18 +116,20 @@ int main(int argc, char** argv) {
                      "loss", "avg-err", "max-err", "biggest-cluster",
                      "frag-sent", "frag-lost", "frag-expired"));
 
+  std::vector<run::ExperimentSpec> packet_specs;
+  for (const std::uint32_t repair : repairs) {
+    for (const double loss : packet_losses) {
+      auto& spec = packet_specs.emplace_back(bench::paper_spec(n, duration));
+      spec.protocol = bench::croupier_proto(25, 50);
+      spec.loss = loss;
+      spec.mtu = kMtu;
+      spec.fec_repair = repair;
+    }
+  }
   const auto packet_grid = bench::run_trial_grid(
-      pool, args, packet_points, [&](std::size_t p, std::uint64_t seed) {
-        const std::size_t v = p / std::size(packet_losses);
-        const double loss = packet_losses[p % std::size(packet_losses)];
-        run::Experiment experiment(
-            bench::paper_spec(n, duration)
-                .protocol(bench::croupier_proto(25, 50))
-                .loss(loss)
-                .mtu(kMtu)
-                .fec(repairs[v])
-                .build(),
-            seed, args.world_jobs);
+      pool, args, packet_specs,
+      [&](const run::ExperimentSpec& spec, std::uint64_t seed) {
+        run::Experiment experiment(spec, seed, args.world_jobs);
         experiment.run();
 
         PacketTrialResult res;

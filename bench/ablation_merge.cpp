@@ -66,15 +66,17 @@ int main(int argc, char** argv) {
   sink.raw(exp::strf("%-10s %10s %10s %14s", "policy", "avg-err", "mean-age",
                      "dead-entries"));
 
+  std::vector<run::ExperimentSpec> specs;
+  for (const char* policy : policies) {
+    auto& spec = specs.emplace_back(bench::paper_spec(n, duration));
+    spec.protocol = exp::strf("croupier:alpha=25,gamma=50,merge=%s", policy);
+    spec.churn = churn;
+    spec.churn_at_s = 30;
+  }
   const auto grid = bench::run_trial_grid(
-      pool, args, std::size(policies), [&](std::size_t p, std::uint64_t seed) {
-        return measure(
-            bench::paper_spec(n, duration)
-                .protocol(exp::strf("croupier:alpha=25,gamma=50,merge=%s",
-                                    policies[p]))
-                .churn(churn, 30)
-                .build(),
-            seed, args.world_jobs);
+      pool, args, specs,
+      [&](const run::ExperimentSpec& spec, std::uint64_t seed) {
+        return measure(spec, seed, args.world_jobs);
       });
 
   for (std::size_t p = 0; p < std::size(policies); ++p) {

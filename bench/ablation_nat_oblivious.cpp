@@ -86,16 +86,17 @@ int main(int argc, char** argv) {
   sink.raw(exp::strf("%-10s %10s %10s %11s %12s %12s", "system", "private",
                      "cluster", "indeg(pub)", "indeg(priv)", "nat-drops"));
 
+  std::vector<run::ExperimentSpec> specs;
+  for (const Point& pt : sweep) {
+    auto& spec = specs.emplace_back(bench::paper_spec(n, duration));
+    spec.protocol = pt.protocol;
+    spec.ratio = 1.0 - static_cast<double>(pt.private_pct) / 100.0;
+    spec.record = run::ExperimentSpec::RecordKind::None;
+  }
   const auto grid = bench::run_trial_grid(
-      pool, args, sweep.size(), [&](std::size_t p, std::uint64_t seed) {
-        const Point& pt = sweep[p];
-        return measure(
-            bench::paper_spec(n, duration)
-                .protocol(pt.protocol)
-                .ratio(1.0 - static_cast<double>(pt.private_pct) / 100.0)
-                .record_nothing()
-                .build(),
-            seed, args.world_jobs);
+      pool, args, specs,
+      [&](const run::ExperimentSpec& spec, std::uint64_t seed) {
+        return measure(spec, seed, args.world_jobs);
       });
 
   for (std::size_t p = 0; p < sweep.size(); ++p) {

@@ -59,16 +59,18 @@ int main(int argc, char** argv) {
   sink.comment("signed bias = mean(estimate - omega); ~0 is unbiased");
   sink.raw(exp::strf("%-26s %12s %12s", "scenario", "measured", "predicted"));
 
+  std::vector<run::ExperimentSpec> specs;
+  for (const Point& pt : sweep) {
+    auto& spec = specs.emplace_back(bench::paper_spec(n, duration));
+    spec.protocol = bench::croupier_proto(25, 50);
+    spec.skew = pt.skew;
+    spec.private_round_scale = 1.0 + pt.slowdown;
+    spec.record = run::ExperimentSpec::RecordKind::None;
+  }
   const auto grid = bench::run_trial_grid(
-      pool, args, sweep.size(), [&](std::size_t p, std::uint64_t seed) {
-        return measure_bias(
-            bench::paper_spec(n, duration)
-                .protocol(bench::croupier_proto(25, 50))
-                .skew(sweep[p].skew)
-                .private_round_scale(1.0 + sweep[p].slowdown)
-                .record_nothing()
-                .build(),
-            seed, args.world_jobs);
+      pool, args, specs,
+      [&](const run::ExperimentSpec& spec, std::uint64_t seed) {
+        return measure_bias(spec, seed, args.world_jobs);
       });
 
   for (std::size_t p = 0; p < sweep.size(); ++p) {

@@ -84,12 +84,15 @@ int main(int argc, char** argv) {
   sink.raw(exp::strf("%-16s %10s %12s %13s %8s", "policy", "avg-err",
                      "indeg(pub)", "indeg(priv)", "apl"));
 
+  std::vector<run::ExperimentSpec> specs;
+  for (const Variant& variant : variants) {
+    auto& spec = specs.emplace_back(bench::paper_spec(n, duration));
+    spec.protocol = variant.protocol;
+  }
   const auto grid = bench::run_trial_grid(
-      pool, args, std::size(variants), [&](std::size_t p, std::uint64_t seed) {
-        return measure(bench::paper_spec(n, duration)
-                           .protocol(variants[p].protocol)
-                           .build(),
-                       seed, args.world_jobs);
+      pool, args, specs,
+      [&](const run::ExperimentSpec& spec, std::uint64_t seed) {
+        return measure(spec, seed, args.world_jobs);
       });
 
   for (std::size_t p = 0; p < std::size(variants); ++p) {

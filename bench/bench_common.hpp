@@ -1,5 +1,6 @@
-// Shared plumbing for the figure-regeneration benches: flag parsing,
-// paper-default experiment specs, parallel trial fan-out, and
+// Shared plumbing for the figure-regeneration benches and croupier-lab:
+// flag parsing, paper-default experiment specs, the sweep (parallel
+// trial fan-out plus the one fold over recorder tables), and
 // series/table printing.
 //
 // Every bench binary regenerates one figure of the paper and prints the
@@ -22,29 +23,36 @@
 // Unknown flags warn on stderr (a typo like --run=5 must be visible, not
 // silently revert to the default).
 //
-// Experiments are declarative: a bench builds run::ExperimentSpec values
-// (protocol chosen by ProtocolRegistry name, e.g.
-// "croupier:alpha=25,gamma=50") and fans the runs x points trial grid
-// out on exp::TrialPool; the per-trial seed is derived with
-// exp::trial_seed, never by ad-hoc seed arithmetic, so growing --runs or
-// reordering sweep points cannot make trials share a seed lineage.
+// Experiments are declarative: a bench builds one run::ExperimentSpec
+// value per sweep point (paper_spec plus field assignments; protocol
+// chosen by ProtocolRegistry name, e.g. "croupier:alpha=25,gamma=50")
+// and fans the runs x points trial grid out on exp::TrialPool. The
+// per-trial seed is derived with exp::trial_seed, never by ad-hoc seed
+// arithmetic, so growing --runs or reordering sweep points cannot make
+// trials share a seed lineage. Benches that plot a recorder's series
+// (figs 1-5, croupier-lab) fold and print them through run_sweep and
+// emit; the others fold their own per-trial results from run_trial_grid.
 #pragma once
 
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <iterator>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "exp/memory.hpp"
 #include "exp/seeds.hpp"
 #include "exp/sink.hpp"
 #include "exp/trial_pool.hpp"
@@ -205,159 +213,148 @@ struct BenchArgs {
   }
 };
 
-/// Fans the full runs x points trial grid of an experiment out on the
-/// pool and returns `results[point][run]`, always in grid order
-/// regardless of execution order or thread count. `fn(point, seed)` runs
-/// one trial; it executes concurrently on pool workers, so it must only
-/// read its captures and build its own World.
-template <typename Fn>
-auto run_trial_grid(exp::TrialPool& pool, const BenchArgs& args,
-                    std::size_t points, Fn&& fn)
-    -> std::vector<
-        std::vector<std::decay_t<decltype(fn(std::size_t{}, std::uint64_t{}))>>> {
-  using R = std::decay_t<decltype(fn(std::size_t{}, std::uint64_t{}))>;
-  auto flat = pool.map(points * args.runs, [&fn, &args](std::size_t i) {
-    const std::size_t p = i / args.runs;
-    const std::size_t r = i % args.runs;
-    return fn(p, exp::trial_seed(args.seed, p, r));
-  });
-  std::vector<std::vector<R>> out(points);
-  for (std::size_t p = 0; p < points; ++p) {
-    out[p].assign(std::make_move_iterator(flat.begin() +
-                                          static_cast<std::ptrdiff_t>(p * args.runs)),
-                  std::make_move_iterator(flat.begin() +
-                                          static_cast<std::ptrdiff_t>((p + 1) * args.runs)));
-  }
-  return out;
-}
-
 /// Registry spec for Croupier with explicit history windows (the
 /// (α, γ) pairs the paper sweeps).
 inline std::string croupier_proto(std::size_t alpha, std::size_t gamma) {
   return exp::strf("croupier:alpha=%zu,gamma=%zu", alpha, gamma);
 }
 
-/// Paper §VII-A setup as a spec builder: ω = 0.2, Poisson joins with
-/// 50 ms / 13 ms inter-arrival, King latencies, 1 % clock skew. Chain
-/// further builder calls for the figure-specific workload.
-inline run::SpecBuilder paper_spec(std::size_t nodes, double duration_s) {
-  return run::SpecBuilder().nodes(nodes).ratio(0.2).duration(duration_s);
+/// Paper §VII-A setup: ω = 0.2, Poisson joins with 50 ms / 13 ms
+/// inter-arrival, King latencies, 1 % clock skew — every one the
+/// ExperimentSpec default. Assign further fields for the figure-specific
+/// workload.
+inline run::ExperimentSpec paper_spec(std::size_t nodes, double duration_s) {
+  run::ExperimentSpec spec;
+  spec.nodes = nodes;
+  spec.duration_s = duration_s;
+  return spec;
 }
 
-/// One run of a Croupier estimation experiment (figures 1-5 all share
-/// this skeleton): build a world from the spec, record the error series
-/// once per second.
-struct EstimationSeries {
-  std::vector<double> t;
-  std::vector<double> avg_err;
-  std::vector<double> max_err;
-  std::vector<double> truth;
-};
-
-inline EstimationSeries to_series(const run::EstimationRecorder& recorder) {
-  EstimationSeries out;
-  for (const auto& p : recorder.series()) {
-    out.t.push_back(p.t_seconds);
-    out.avg_err.push_back(p.sample.avg_error);
-    out.max_err.push_back(p.sample.max_error);
-    out.truth.push_back(p.sample.truth);
-  }
-  return out;
-}
-
-/// Runs a spec (which must record estimation) to its horizon and returns
-/// the error series — the standard trial body of figures 1-5.
-/// `world_jobs` picks the engine inside the trial's World (byte-identical
-/// output for every value).
-inline EstimationSeries run_spec_series(const run::ExperimentSpec& spec,
-                                        std::uint64_t seed,
-                                        std::size_t world_jobs = 1) {
-  run::Experiment experiment(spec, seed, world_jobs);
-  experiment.run();
-  return to_series(*experiment.estimation());
-}
-
-/// Pointwise mean and across-runs standard deviation of several runs of
-/// the same experiment (series are sampled on the same 1 s grid).
-struct AggregatedSeries {
-  std::vector<double> t;
-  std::vector<double> avg_err;
-  std::vector<double> avg_err_sd;
-  std::vector<double> max_err;
-  std::vector<double> max_err_sd;
-  std::vector<double> truth;
-};
-
-/// Streaming accumulator for one sweep point: folds each finished trial's
-/// EstimationSeries into pointwise Welford accumulators (exp::SeriesAccum)
-/// and frees it, instead of materialising all --runs series. Runs must be
-/// folded in run order (TrialPool::map_fold guarantees it), which keeps
-/// the aggregate byte-identical for every --jobs value.
-struct SeriesFold {
-  std::vector<double> t;  // grid of the first run; truncated in finish()
-  exp::SeriesAccum avg_err;
-  exp::SeriesAccum max_err;
-  exp::SeriesAccum truth;
-
-  void add(const EstimationSeries& run) {
-    if (t.empty()) t = run.t;
-    avg_err.add(run.avg_err);
-    max_err.add(run.max_err);
-    truth.add(run.truth);
-  }
-
-  [[nodiscard]] AggregatedSeries finish() const {
-    AggregatedSeries agg;
-    const std::size_t len = avg_err.size();
-    agg.t.assign(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(len));
-    agg.avg_err = avg_err.means();
-    agg.avg_err_sd = avg_err.stddevs();
-    agg.max_err = max_err.means();
-    agg.max_err_sd = max_err.stddevs();
-    agg.truth = truth.means();
-    return agg;
-  }
-};
-
-/// Fans the runs x points grid of a series experiment out on the pool and
-/// streams each finished trial into its point's SeriesFold — the
-/// cross-trial streaming aggregation path: peak memory holds ~--jobs
-/// series instead of all points x runs. Results come back in grid order
-/// whatever the worker count.
+/// What a trial body `fn(spec, seed)` returns.
 template <typename Fn>
-std::vector<AggregatedSeries> run_series_grid(exp::TrialPool& pool,
-                                              const BenchArgs& args,
-                                              std::size_t points, Fn&& fn) {
-  std::vector<SeriesFold> folds(points);
+using TrialResult = std::decay_t<
+    std::invoke_result_t<Fn&, const run::ExperimentSpec&, std::uint64_t>>;
+
+/// Fans the runs x specs trial grid out on the pool and hands each
+/// finished trial to `fold(point, result)` in grid order, whatever the
+/// execution order or thread count. Every spec is validated first, so a
+/// bad one fails before any trial starts. `fn(spec, seed)` runs one
+/// trial; it executes concurrently on pool workers, so it must only read
+/// its captures and build its own World.
+template <typename Fn, typename Fold>
+void fold_trial_grid(exp::TrialPool& pool, const BenchArgs& args,
+                     const std::vector<run::ExperimentSpec>& specs, Fn&& fn,
+                     Fold&& fold) {
+  using R = TrialResult<Fn>;
+  for (const auto& spec : specs) spec.validate();
   pool.map_fold(
-      points * args.runs,
-      [&fn, &args](std::size_t i) {
+      specs.size() * args.runs,
+      [&](std::size_t i) {
         const std::size_t p = i / args.runs;
-        const std::size_t r = i % args.runs;
-        return fn(p, exp::trial_seed(args.seed, p, r));
+        return fn(specs[p], exp::trial_seed(args.seed, p, i % args.runs));
       },
-      [&folds, &args](std::size_t i, EstimationSeries&& series) {
-        folds[i / args.runs].add(series);
+      [&](std::size_t i, R&& result) {
+        fold(i / args.runs, std::move(result));
       });
-  std::vector<AggregatedSeries> out;
-  out.reserve(points);
-  for (const auto& fold : folds) out.push_back(fold.finish());
+}
+
+/// fold_trial_grid keeping every result: `results[point][run]`.
+template <typename Fn>
+auto run_trial_grid(exp::TrialPool& pool, const BenchArgs& args,
+                    const std::vector<run::ExperimentSpec>& specs, Fn&& fn) {
+  using R = TrialResult<Fn>;
+  std::vector<std::vector<R>> out(specs.size());
+  fold_trial_grid(pool, args, specs, fn, [&out](std::size_t p, R&& r) {
+    out[p].push_back(std::move(r));
+  });
   return out;
 }
 
-/// Emits a series block, with the across-runs stddev column whenever more
-/// than one run backs each point.
-inline void emit_series(exp::ResultSink& sink, const std::string& name,
-                        const std::vector<double>& x,
-                        const std::vector<double>& y,
-                        const std::vector<double>& sd, std::size_t runs,
-                        const char* x_fmt = "%.0f",
-                        const char* y_fmt = "%.6f") {
-  if (runs > 1) {
-    sink.series(name, x, y, sd, x_fmt, y_fmt);
-  } else {
-    sink.series(name, x, y, x_fmt, y_fmt);
+/// One finished trial: its recorder's columns, the network's drop
+/// counters and the trial's wall-clock seconds.
+struct Trial {
+  std::span<const run::Column> columns;
+  run::ColumnTable table;
+  net::Network::DropStats drops;
+  double seconds = 0.0;
+};
+
+/// Streaming aggregation of one sweep point, for any record kind: each
+/// finished trial folds into per-column Welford accumulators and is
+/// freed, so peak memory holds ~--jobs tables instead of all points x
+/// runs. Runs fold in run order, which keeps the aggregate byte-identical
+/// for every --jobs value. The wall-clock, memory and drop totals are
+/// for stderr reports only, never for the result sink.
+struct PointFold {
+  std::span<const run::Column> columns;
+  std::vector<double> t;  // grid of the first non-empty run
+  std::vector<exp::SeriesAccum> values;  // one per table column
+  exp::Accum seconds;
+  double max_seconds = 0.0;
+  std::uint64_t max_rss = 0;  // resident set observed at fold time
+  net::Network::DropStats drops;  // summed across the point's trials
+
+  void add(const Trial& trial) {
+    columns = trial.columns;
+    if (t.empty()) t = trial.table.t;
+    values.resize(trial.table.values.size());
+    for (std::size_t c = 0; c < values.size(); ++c) {
+      values[c].add(trial.table.values[c]);
+    }
+    seconds.add(trial.seconds);
+    max_seconds = std::max(max_seconds, trial.seconds);
+    // Sampled when the trial folds. Trials of different points
+    // interleave under --jobs, so this is an upper bound on the point's
+    // own footprint — tight when points run alone, still the number
+    // that answers "did this sweep fit in memory".
+    max_rss = std::max(max_rss, exp::current_rss_bytes());
+    drops += trial.drops;
   }
+
+  /// Sample times, cut to the shortest run.
+  [[nodiscard]] std::vector<double> times() const {
+    const std::size_t len = values.empty() ? 0 : values[0].size();
+    return {t.begin(), t.begin() + static_cast<std::ptrdiff_t>(len)};
+  }
+};
+
+/// Appends columns of its own to a finished trial's table, after the
+/// recorder's (fig2's true ratio).
+using TrialExtra =
+    std::function<void(const run::Experiment&, run::ColumnTable&)>;
+
+/// The sweep path of every recorder-driven bench and of croupier-lab:
+/// runs each spec --runs times to its horizon on the pool and folds the
+/// recorder tables into one PointFold per spec, in spec order.
+inline std::vector<PointFold> run_sweep(
+    exp::TrialPool& pool, const BenchArgs& args,
+    const std::vector<run::ExperimentSpec>& specs,
+    const TrialExtra& extra = {}) {
+  for (const auto& spec : specs) {
+    if (spec.record == run::ExperimentSpec::RecordKind::None) {
+      throw std::invalid_argument("spec: record=none has nothing to fold");
+    }
+  }
+  std::vector<PointFold> folds(specs.size());
+  fold_trial_grid(
+      pool, args, specs,
+      [&](const run::ExperimentSpec& spec, std::uint64_t seed) {
+        // detlint:allow(wallclock) per-trial timing for stderr reports
+        // only — never reaches the result sink.
+        const auto start = std::chrono::steady_clock::now();
+        run::Experiment experiment(spec, seed, args.world_jobs);
+        experiment.run();
+        const run::Recorder& recorder = *experiment.recorder();
+        Trial trial{recorder.columns(), recorder.table(),
+                    experiment.world().network().drops()};
+        if (extra) extra(experiment, trial.table);
+        // detlint:allow(wallclock) stderr-only timing, as above.
+        const auto end = std::chrono::steady_clock::now();
+        trial.seconds = std::chrono::duration<double>(end - start).count();
+        return trial;
+      },
+      [&folds](std::size_t p, Trial&& trial) { folds[p].add(trial); });
+  return folds;
 }
 
 /// Emits a summary scalar plus its across-runs spread (CSV only).
@@ -375,6 +372,42 @@ inline double steady_state(const std::vector<double>& v,
   double sum = 0;
   for (std::size_t i = v.size() - n; i < v.size(); ++i) sum += v[i];
   return sum / static_cast<double>(n);
+}
+
+/// Prints one sweep point: a series block per recorder column, the
+/// column's block named `names[c]`; then, unless `block` is empty, the
+/// summary line of every column with a summary rule and its CSV values.
+inline void emit(exp::ResultSink& sink, const PointFold& fold,
+                 const std::vector<std::string>& names,
+                 const std::string& block, std::size_t runs) {
+  const std::vector<double> t = fold.times();
+  std::string line = block + ":";
+  std::vector<std::pair<std::string, double>> summaries;
+  for (std::size_t c = 0; c < fold.columns.size(); ++c) {
+    const run::Column& column = fold.columns[c];
+    const std::vector<double> means = fold.values[c].means();
+    // The across-runs stddev column only when more than one run backs
+    // each point.
+    if (runs > 1) {
+      sink.series(names[c], t, means, fold.values[c].stddevs(), "%.0f",
+                  column.format);
+    } else {
+      sink.series(names[c], t, means, "%.0f", column.format);
+    }
+    if (column.summary == run::Summary::None) continue;
+    const bool steady = column.summary == run::Summary::SteadyMean;
+    const double value = steady          ? steady_state(means)
+                         : means.empty() ? 0.0
+                                         : means.back();
+    const std::string key =
+        std::string(steady ? "steady " : "final ") + column.summary_name;
+    line += " " + key + "=" + exp::strf(column.summary_format, value);
+    summaries.emplace_back(key, value);
+  }
+  if (block.empty()) return;
+  sink.comment(line);
+  sink.blank();
+  for (const auto& [key, value] : summaries) sink.value(block, key, value);
 }
 
 }  // namespace croupier::bench

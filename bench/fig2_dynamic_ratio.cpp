@@ -32,46 +32,49 @@ int main(int argc, char** argv) {
       nodes / 5, nodes - nodes / 5, extra_publics, args.runs));
   sink.blank();
 
-  const auto grid = bench::run_series_grid(
-      pool, args, std::size(windows), [&](std::size_t p, std::uint64_t seed) {
-        const auto& [alpha, gamma] = windows[p];
-        return bench::run_spec_series(
-            bench::paper_spec(nodes, duration)
-                .protocol(bench::croupier_proto(alpha, gamma))
-                .join_step(extra_publics, 0, step_at, 42)
-                .build(),
-            seed, args.world_jobs);
+  std::vector<run::ExperimentSpec> specs;
+  for (const auto& [alpha, gamma] : windows) {
+    auto& spec = specs.emplace_back(bench::paper_spec(nodes, duration));
+    spec.protocol = bench::croupier_proto(alpha, gamma);
+    spec.step_publics = extra_publics;
+    spec.step_at_s = step_at;
+    spec.step_every_ms = 42;
+  }
+  // The true ratio rides along as a third table column after the
+  // recorder's avg- and max-error.
+  const auto folds = bench::run_sweep(
+      pool, args, specs,
+      [](const run::Experiment& experiment, run::ColumnTable& table) {
+        auto& truth = table.values.emplace_back();
+        for (const auto& point : experiment.estimation()->series()) {
+          truth.push_back(point.sample.truth);
+        }
       });
 
-  bool truth_printed = false;
   for (std::size_t p = 0; p < std::size(windows); ++p) {
     const auto& [alpha, gamma] = windows[p];
-    const auto& agg = grid[p];
-
-    if (!truth_printed) {
-      truth_printed = true;
-      sink.series("fig2 true-ratio", agg.t, agg.truth);
-    }
-
-    bench::emit_series(
-        sink, exp::strf("fig2a avg-error alpha=%zu gamma=%zu", alpha, gamma),
-        agg.t, agg.avg_err, agg.avg_err_sd, args.runs);
-    bench::emit_series(
-        sink, exp::strf("fig2b max-error alpha=%zu gamma=%zu", alpha, gamma),
-        agg.t, agg.max_err, agg.max_err_sd, args.runs);
+    const auto& fold = folds[p];
+    const std::vector<double> t = fold.times();
+    if (p == 0) sink.series("fig2 true-ratio", t, fold.values[2].means());
+    bench::emit(
+        sink, fold,
+        {exp::strf("fig2a avg-error alpha=%zu gamma=%zu", alpha, gamma),
+         exp::strf("fig2b max-error alpha=%zu gamma=%zu", alpha, gamma)},
+        "", args.runs);
 
     // Re-convergence diagnostic: first time after the step that the
     // average error returns below 1%.
+    const std::vector<double> avg_err = fold.values[0].means();
     double reconverged = -1;
-    for (std::size_t i = 0; i < agg.t.size(); ++i) {
-      if (agg.t[i] > step_at + 14.0 && agg.avg_err[i] < 0.01) {
-        reconverged = agg.t[i];
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      if (t[i] > step_at + 14.0 && avg_err[i] < 0.01) {
+        reconverged = t[i];
         break;
       }
     }
     const std::string block =
         exp::strf("summary alpha=%zu gamma=%zu", alpha, gamma);
-    const double steady_avg = bench::steady_state(agg.avg_err);
+    const double steady_avg = bench::steady_state(avg_err);
     sink.comment(exp::strf("%s: steady avg-err=%.5f reconverged(<1%%)@t=%.0fs",
                            block.c_str(), steady_avg, reconverged));
     sink.blank();

@@ -26,33 +26,18 @@ int main(int argc, char** argv) {
       n, args.runs));
   sink.blank();
 
-  const auto grid = bench::run_series_grid(
-      pool, args, std::size(ratios), [&](std::size_t p, std::uint64_t seed) {
-        return bench::run_spec_series(
-            bench::paper_spec(n, duration)
-                .protocol(bench::croupier_proto(25, 50))
-                .ratio(ratios[p])
-                .build(),
-            seed, args.world_jobs);
-      });
-
+  std::vector<run::ExperimentSpec> specs;
+  for (const double ratio : ratios) {
+    auto& spec = specs.emplace_back(bench::paper_spec(n, duration));
+    spec.protocol = bench::croupier_proto(25, 50);
+    spec.ratio = ratio;
+  }
+  const auto folds = bench::run_sweep(pool, args, specs);
   for (std::size_t p = 0; p < std::size(ratios); ++p) {
-    const double ratio = ratios[p];
-    const auto& agg = grid[p];
-
-    bench::emit_series(sink, exp::strf("fig4a avg-error ratio=%.2f", ratio),
-                       agg.t, agg.avg_err, agg.avg_err_sd, args.runs);
-    bench::emit_series(sink, exp::strf("fig4b max-error ratio=%.2f", ratio),
-                       agg.t, agg.max_err, agg.max_err_sd, args.runs);
-
-    const std::string block = exp::strf("summary ratio=%.2f", ratio);
-    const double steady_avg = bench::steady_state(agg.avg_err);
-    const double steady_max = bench::steady_state(agg.max_err);
-    sink.comment(exp::strf("%s: steady avg-err=%.5f steady max-err=%.5f",
-                           block.c_str(), steady_avg, steady_max));
-    sink.blank();
-    sink.value(block, "steady avg-err", steady_avg);
-    sink.value(block, "steady max-err", steady_max);
+    bench::emit(sink, folds[p],
+                {exp::strf("fig4a avg-error ratio=%.2f", ratios[p]),
+                 exp::strf("fig4b max-error ratio=%.2f", ratios[p])},
+                exp::strf("summary ratio=%.2f", ratios[p]), args.runs);
   }
   return 0;
 }

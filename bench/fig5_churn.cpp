@@ -26,38 +26,21 @@ int main(int argc, char** argv) {
       n, args.runs));
   sink.blank();
 
-  const auto grid = bench::run_series_grid(
-      pool, args, std::size(churn_rates),
-      [&](std::size_t p, std::uint64_t seed) {
-        // The Experiment owns the ChurnProcess, so its lifetime spans
-        // the whole run without any per-bench bookkeeping.
-        return bench::run_spec_series(
-            bench::paper_spec(n, duration)
-                .protocol(bench::croupier_proto(25, 50))
-                .churn(churn_rates[p], 61)
-                .build(),
-            seed, args.world_jobs);
-      });
-
+  // Each Experiment owns its ChurnProcess, so the process lives for the
+  // whole run without any per-bench bookkeeping.
+  std::vector<run::ExperimentSpec> specs;
+  for (const double rate : churn_rates) {
+    auto& spec = specs.emplace_back(bench::paper_spec(n, duration));
+    spec.protocol = bench::croupier_proto(25, 50);
+    spec.churn = rate;  // from the default churn_at_s = 61
+  }
+  const auto folds = bench::run_sweep(pool, args, specs);
   for (std::size_t p = 0; p < std::size(churn_rates); ++p) {
-    const double rate = churn_rates[p];
-    const auto& agg = grid[p];
-
-    bench::emit_series(sink,
-                       exp::strf("fig5a avg-error churn=%.1f%%", rate * 100),
-                       agg.t, agg.avg_err, agg.avg_err_sd, args.runs);
-    bench::emit_series(sink,
-                       exp::strf("fig5b max-error churn=%.1f%%", rate * 100),
-                       agg.t, agg.max_err, agg.max_err_sd, args.runs);
-
-    const std::string block = exp::strf("summary churn=%.1f%%", rate * 100);
-    const double steady_avg = bench::steady_state(agg.avg_err);
-    const double steady_max = bench::steady_state(agg.max_err);
-    sink.comment(exp::strf("%s: steady avg-err=%.5f steady max-err=%.5f",
-                           block.c_str(), steady_avg, steady_max));
-    sink.blank();
-    sink.value(block, "steady avg-err", steady_avg);
-    sink.value(block, "steady max-err", steady_max);
+    const double pct = churn_rates[p] * 100;
+    bench::emit(sink, folds[p],
+                {exp::strf("fig5a avg-error churn=%.1f%%", pct),
+                 exp::strf("fig5b max-error churn=%.1f%%", pct)},
+                exp::strf("summary churn=%.1f%%", pct), args.runs);
   }
   return 0;
 }

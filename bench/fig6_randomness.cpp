@@ -66,15 +66,18 @@ int main(int argc, char** argv) {
       n, args.runs));
   sink.blank();
 
+  std::vector<run::ExperimentSpec> specs;
+  for (const Row& row : rows) {
+    auto& spec = specs.emplace_back(bench::paper_spec(n, duration));
+    spec.protocol = row.protocol;
+    spec.ratio = row.all_public ? 1.0 : 0.2;
+    spec.record = run::ExperimentSpec::RecordKind::Graph;
+    spec.record_every_s = 10;
+  }
   const auto grid = bench::run_trial_grid(
-      pool, args, std::size(rows), [&](std::size_t p, std::uint64_t seed) {
-        const Row& row = rows[p];
-        return measure(bench::paper_spec(n, duration)
-                           .protocol(row.protocol)
-                           .ratio(row.all_public ? 1.0 : 0.2)
-                           .record_graph(10)
-                           .build(),
-                       seed, args.world_jobs);
+      pool, args, specs,
+      [&](const run::ExperimentSpec& spec, std::uint64_t seed) {
+        return measure(spec, seed, args.world_jobs);
       });
 
   for (std::size_t p = 0; p < std::size(rows); ++p) {

@@ -65,19 +65,22 @@ int main(int argc, char** argv) {
   sink.raw(exp::strf("%-10s %14s %15s", "protocol", "public(B/s)",
                      "private(B/s)"));
 
+  std::vector<run::ExperimentSpec> specs;
+  for (const Row& row : rows) {
+    auto& spec = specs.emplace_back(
+        bench::paper_spec(n, sim::to_seconds(warmup + window)));
+    spec.protocol = row.protocol;
+    spec.ratio = row.all_public ? 1.0 : 0.2;
+    // Joins compressed to 10 ms inter-arrival for both classes so the
+    // population is complete well before the measurement window.
+    spec.join_public_ms = 10;
+    spec.join_private_ms = 10;
+    spec.record = run::ExperimentSpec::RecordKind::None;
+  }
   const auto grid = bench::run_trial_grid(
-      pool, args, std::size(rows), [&](std::size_t p, std::uint64_t seed) {
-        const Row& row = rows[p];
-        // Joins compressed to 10 ms inter-arrival for both classes so the
-        // population is complete well before the measurement window.
-        return measure(
-            bench::paper_spec(n, sim::to_seconds(warmup + window))
-                .protocol(row.protocol)
-                .ratio(row.all_public ? 1.0 : 0.2)
-                .poisson_joins(10, 10)
-                .record_nothing()
-                .build(),
-            seed, warmup, window, args.world_jobs);
+      pool, args, specs,
+      [&](const run::ExperimentSpec& spec, std::uint64_t seed) {
+        return measure(spec, seed, warmup, window, args.world_jobs);
       });
 
   for (std::size_t p = 0; p < std::size(rows); ++p) {

@@ -66,19 +66,21 @@ int main(int argc, char** argv) {
 
   // The sweep is (failure level x system); flatten it into one grid so
   // every cell is its own parallel trial.
-  const std::size_t points = std::size(fail_levels) * std::size(rows);
+  std::vector<run::ExperimentSpec> specs;
+  for (const int level : fail_levels) {
+    for (const Row& row : rows) {
+      auto& spec = specs.emplace_back(bench::paper_spec(n, 60.001));
+      spec.protocol = row.protocol;
+      spec.ratio = row.all_public ? 1.0 : 0.2;
+      spec.catastrophe = static_cast<double>(level) / 100.0;
+      spec.catastrophe_at_s = 60;
+      spec.record = run::ExperimentSpec::RecordKind::None;
+    }
+  }
   const auto grid = bench::run_trial_grid(
-      pool, args, points, [&](std::size_t p, std::uint64_t seed) {
-        const int level = fail_levels[p / std::size(rows)];
-        const Row& row = rows[p % std::size(rows)];
-        return cluster_fraction(
-            bench::paper_spec(n, 60.001)
-                .protocol(row.protocol)
-                .ratio(row.all_public ? 1.0 : 0.2)
-                .catastrophe(static_cast<double>(level) / 100.0, 60)
-                .record_nothing()
-                .build(),
-            seed, args.world_jobs);
+      pool, args, specs,
+      [&](const run::ExperimentSpec& spec, std::uint64_t seed) {
+        return cluster_fraction(spec, seed, args.world_jobs);
       });
 
   for (std::size_t li = 0; li < std::size(fail_levels); ++li) {

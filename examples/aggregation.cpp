@@ -100,15 +100,12 @@ class AveragingApp final : public net::MessageHandler {
 int main() {
   // 80 public + 320 private nodes, all present from the start; the
   // application drives its own clock below, so nothing is recorded.
-  run::Experiment experiment(run::SpecBuilder()
-                                 .protocol("croupier")
-                                 .nodes(400)
-                                 .ratio(0.2)
-                                 .instant_joins()
-                                 .duration(120)
-                                 .record_nothing()
-                                 .build(),
-                             /*seed=*/5);
+  run::ExperimentSpec spec;
+  spec.nodes = 400;
+  spec.join = run::ExperimentSpec::JoinKind::Instant;
+  spec.duration_s = 120;
+  spec.record = run::ExperimentSpec::RecordKind::None;
+  run::Experiment experiment(spec, /*seed=*/5);
   run::World& world = experiment.world();
   world.simulator().run_until(sim::sec(30));  // PSS warm-up
 

@@ -16,16 +16,14 @@ int main() {
   // natid + instant joins: the initial publics are operator-seeded
   // responders (ground-truth classified), exactly what a fresh deployment
   // needs before the identification protocol has anyone to test against.
-  run::Experiment experiment(run::SpecBuilder()
-                                 .protocol("croupier")
-                                 .nodes(4)
-                                 .ratio(1.0)
-                                 .instant_joins()
-                                 .natid()
-                                 .duration(60)
-                                 .record_nothing()
-                                 .build(),
-                             /*seed=*/7);
+  run::ExperimentSpec spec;
+  spec.nodes = 4;
+  spec.ratio = 1.0;
+  spec.join = run::ExperimentSpec::JoinKind::Instant;
+  spec.natid = true;
+  spec.duration_s = 60;
+  spec.record = run::ExperimentSpec::RecordKind::None;
+  run::Experiment experiment(spec, /*seed=*/7);
   run::World& world = experiment.world();
   world.simulator().run_until(sim::sec(2));
 

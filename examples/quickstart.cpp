@@ -25,16 +25,16 @@ int main() {
   //    registry spec string (paper defaults: view 10, shuffle 5, 1 s
   //    rounds, alpha=25, gamma=50); population is 100 public + 400
   //    private nodes (omega = 0.2) joining as two Poisson processes like
-  //    the paper's experiments. The same spec round-trips through text:
+  //    the paper's experiments (the default join process, 50 ms / 13 ms
+  //    mean inter-arrival). Fields left unset keep those paper defaults.
+  //    The same spec round-trips through text:
   //    run::ExperimentSpec::parse(spec.to_string()) == spec.
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier:alpha=25,gamma=50")
-                        .nodes(500)
-                        .ratio(0.2)
-                        .poisson_joins(50, 13)
-                        .duration(120)
-                        .record_nothing()
-                        .build();
+  run::ExperimentSpec spec;
+  spec.protocol = "croupier:alpha=25,gamma=50";
+  spec.nodes = 500;
+  spec.ratio = 0.2;
+  spec.duration_s = 120;
+  spec.record = run::ExperimentSpec::RecordKind::None;
   std::printf("spec: %s\n\n", spec.to_string().c_str());
 
   // 2. Materialize: deterministic simulator + network with King-like

@@ -112,15 +112,12 @@ class RumorApp final : public net::MessageHandler {
 int main() {
   const std::size_t publics = 100;
   const std::size_t privates = 400;
-  run::Experiment experiment(run::SpecBuilder()
-                                 .protocol("croupier")
-                                 .nodes(publics + privates)
-                                 .ratio(0.2)
-                                 .instant_joins()
-                                 .duration(90)
-                                 .record_nothing()
-                                 .build(),
-                             /*seed=*/11);
+  run::ExperimentSpec spec;
+  spec.nodes = publics + privates;
+  spec.join = run::ExperimentSpec::JoinKind::Instant;
+  spec.duration_s = 90;
+  spec.record = run::ExperimentSpec::RecordKind::None;
+  run::Experiment experiment(spec, /*seed=*/11);
   run::World& world = experiment.world();
 
   // Let the PSS warm up before the application starts.

@@ -36,16 +36,15 @@ Quality measure(const std::string& protocol, std::uint64_t seed) {
   // nodes, so a sampler that fails to refresh its views hands out dead
   // peers. Both systems run the identical spec — only the protocol name
   // differs.
-  run::Experiment experiment(run::SpecBuilder()
-                                 .protocol(protocol)
-                                 .nodes(500)
-                                 .ratio(0.2)
-                                 .instant_joins()
-                                 .churn(0.01, 30)
-                                 .duration(330)
-                                 .record_nothing()
-                                 .build(),
-                             seed);
+  run::ExperimentSpec spec;
+  spec.protocol = protocol;
+  spec.nodes = 500;
+  spec.join = run::ExperimentSpec::JoinKind::Instant;
+  spec.churn = 0.01;
+  spec.churn_at_s = 30;
+  spec.duration_s = 330;
+  spec.record = run::ExperimentSpec::RecordKind::None;
+  run::Experiment experiment(spec, seed);
   run::World& world = experiment.world();
   world.simulator().run_until(sim::sec(30));
 

@@ -11,7 +11,8 @@
 # Every figure bench must produce byte-identical stdout AND --csv output
 # for (--jobs=1 --world-jobs=1), (--jobs=4 --world-jobs=1) and
 # (--jobs=4 --world-jobs=4). croupier-lab additionally must reproduce
-# fig1's series rows byte for byte (the PR-3 API-redesign acceptance).
+# fig1's and fig5's series rows byte for byte (the PR-3 API-redesign
+# acceptance; fig5 adds churn).
 #
 # Usage: scripts/check_determinism.sh [--fast]
 #   BUILD_DIR=...  bench build directory (default build)
@@ -80,6 +81,25 @@ if [ -x "$LAB" ]; then
     echo "ok   croupier-lab == fig1_stable_ratio (series rows)"
   else
     echo "FAIL croupier-lab vs fig1_stable_ratio (series rows differ)"
+    fail=1
+  fi
+
+  # The same check with churn on: fig5's four churn rates as four lab
+  # --spec points at fig5 --fast's nodes and duration, which pins that
+  # bench::paper_spec and the lab's spec defaults agree when a scenario
+  # process is armed.
+  fig5_flags=()
+  for rate in 0.001 0.01 0.025 0.05; do
+    fig5_flags+=(--spec="protocol=croupier:alpha=25,gamma=50 nodes=300 churn=$rate duration=120")
+  done
+  "$LAB" "${fig5_flags[@]}" --runs=2 --jobs=4 2>/dev/null |
+    grep -E '^[0-9]' >"$TMP/lab5.rows"
+  "$BUILD_DIR/bench/fig5_churn" --fast --runs=2 --jobs=4 \
+    2>/dev/null | grep -E '^[0-9]' >"$TMP/fig5.rows"
+  if [ -s "$TMP/fig5.rows" ] && cmp -s "$TMP/fig5.rows" "$TMP/lab5.rows"; then
+    echo "ok   croupier-lab == fig5_churn (series rows)"
+  else
+    echo "FAIL croupier-lab vs fig5_churn (series rows differ)"
     fail=1
   fi
 

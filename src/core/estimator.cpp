@@ -33,9 +33,9 @@ std::pair<std::uint8_t, std::uint8_t> quantize(std::uint64_t pub,
 
 void encode(wire::Writer& w, const EstimateEntry& e) {
   // Paper §VI carries 2 B origin ids, enough for every paper-scale
-  // experiment. Worlds past 64Ki publics (the fig3 --mega sweep) escape
-  // through the 0xffff sentinel to a 4 B id; origins below the sentinel
-  // encode byte-identically to the fixed 2 B format.
+  // experiment. Worlds past 64Ki publics (croupier-lab scale runs at
+  // 10^6 nodes) escape through the 0xffff sentinel to a 4 B id; origins
+  // below the sentinel encode byte-identically to the fixed 2 B format.
   if (e.origin < 0xffff) {
     w.u16(static_cast<std::uint16_t>(e.origin));
   } else {

@@ -5,9 +5,8 @@
 // other Worlds, so the trials are embarrassingly parallel: TrialPool
 // fans them out over a fixed set of worker threads while keeping every
 // observable output deterministic. Tasks may execute in any order, but
-// each one writes into its own submission-indexed result slot, so the
-// aggregation and printing that follow see results in submission order
-// and the bench output is byte-identical for any --jobs value
+// map_fold hands their results to the aggregation in submission order,
+// so the bench output is byte-identical for any --jobs value
 // (including 1).
 //
 // Tasks must not touch shared mutable state; the first exception a task
@@ -48,27 +47,10 @@ class TrialPool {
   /// first task exception, if any.
   void wait();
 
-  /// Runs `count` indexed trials and returns their results in index
-  /// order. `fn(i)` is invoked concurrently from the workers, so it must
-  /// be thread-safe (the bench closures only read captured configs and
-  /// build their own World, which is). The result type must be
-  /// default-constructible and movable.
-  template <typename Fn>
-  auto map(std::size_t count, Fn&& fn)
-      -> std::vector<std::decay_t<decltype(fn(std::size_t{}))>> {
-    using R = std::decay_t<decltype(fn(std::size_t{}))>;
-    std::vector<R> out(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      submit([&out, &fn, i] { out[i] = fn(i); });
-    }
-    wait();
-    return out;
-  }
-
-  /// Streaming variant of map(): runs `count` indexed trials and hands
-  /// each result to `fold(i, std::move(result))` exactly once, in strict
-  /// index order (0, 1, 2, ...), then frees it — so at no point are more
-  /// than ~2x jobs() results resident, however large `count` is. Folding
+  /// Runs `count` indexed trials and hands each result to
+  /// `fold(i, std::move(result))` exactly once, in strict index order
+  /// (0, 1, 2, ...), then frees it — so at no point are more than ~2x
+  /// jobs() results resident, however large `count` is. Folding
   /// in index order is what keeps aggregation byte-identical for every
   /// --jobs value. Out-of-order completions wait in a reorder buffer;
   /// a worker does not *start* trial i until i < fold-cursor + 2*jobs()
@@ -76,11 +58,14 @@ class TrialPool {
   /// absorb the whole grid. No deadlock is possible: tasks are picked up
   /// FIFO, so the cursor's own trial is always running, never gated.
   ///
-  /// `fn(i)` runs concurrently on the workers like map(); `fold` runs
-  /// under the pool's fold lock (on whichever worker completed the
-  /// gating trial), so it may touch shared accumulators without extra
-  /// locking but should stay cheap. If any trial throws, waiting trials
-  /// are abandoned (wait() rethrows the first error anyway).
+  /// `fn(i)` is invoked concurrently from the workers, so it must be
+  /// thread-safe (the bench closures only read captured configs and
+  /// build their own World, which is). The result type must be
+  /// default-constructible and movable. `fold` runs under the pool's
+  /// fold lock (on whichever worker completed the gating trial), so it
+  /// may touch shared accumulators without extra locking but should stay
+  /// cheap. If any trial throws, waiting trials are abandoned (wait()
+  /// rethrows the first error anyway).
   template <typename Fn, typename FoldFn>
   void map_fold(std::size_t count, Fn&& fn, FoldFn&& fold) {
     using R = std::decay_t<decltype(fn(std::size_t{}))>;

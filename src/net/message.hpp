@@ -24,16 +24,9 @@ class Message {
   /// Human-readable message name for traces and test failures.
   [[nodiscard]] virtual const char* name() const = 0;
 
-  /// Serializes the full message, including the type tag.
+  /// Serializes the full message, including the type tag. The network
+  /// charges the encoded size plus UDP/IP headers as traffic.
   virtual void encode(wire::Writer& w) const = 0;
-
-  /// Encoded payload size in bytes (excludes UDP/IP headers; the network
-  /// adds those when charging traffic).
-  [[nodiscard]] std::size_t wire_size() const {
-    wire::Writer w;
-    encode(w);
-    return w.size();
-  }
 };
 
 using MessagePtr = std::shared_ptr<const Message>;

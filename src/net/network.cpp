@@ -98,8 +98,11 @@ void Network::send(NodeId from, NodeId to, MessagePtr msg) {
   NodeState& sender = nodes_.at(from, "sender not attached");
 
   // Serialization cost is charged here so it runs on the worker when the
-  // parallel engine is active.
-  const std::size_t wire_bytes = msg->wire_size();
+  // parallel engine is active. One encode gives both the wire size and,
+  // for a message over the mtu, the bytes to split.
+  wire::Writer w;
+  msg->encode(w);
+  const std::size_t wire_bytes = w.size();
 
   // The sender's own gateway opens/refreshes a mapping toward `to`
   // regardless of whether the packet ultimately arrives. The box belongs
@@ -110,14 +113,9 @@ void Network::send(NodeId from, NodeId to, MessagePtr msg) {
   }
 
   if (fragmenter_.needs_fragmentation(wire_bytes)) {
-    // Encode and split on the worker (pure sender-local work); the
-    // msg_id is stamped by the serial half.
-    wire::Writer w;
-    msg->encode(w);
-    const std::vector<std::byte> buf = std::move(w).take();
-    CROUPIER_ASSERT_MSG(buf.size() == wire_bytes,
-                        "wire_size() disagrees with encode()");
-    auto frags = fragmenter_.split(0, buf);
+    // Split on the worker (pure sender-local work); the msg_id is
+    // stamped by the serial half.
+    auto frags = fragmenter_.split(0, w.data());
     if (!simulator_.deferring()) {
       finish_send_fragments(from, to, std::move(msg), std::move(frags));
       return;

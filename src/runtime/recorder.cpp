@@ -1,7 +1,5 @@
 #include "runtime/recorder.hpp"
 
-#include <fstream>
-
 #include "common/assert.hpp"
 
 namespace croupier::run {
@@ -52,30 +50,6 @@ void Recorder::tick() {
   if (!running_) return;
   record_sample();
   world_.simulator().schedule_after(interval_, [this] { tick(); });
-}
-
-bool EstimationRecorder::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "t_seconds,avg_error,max_error,truth,nodes\n";
-  for (const auto& p : series_) {
-    out << p.t_seconds << ',' << p.sample.avg_error << ','
-        << p.sample.max_error << ',' << p.sample.truth << ','
-        << p.sample.node_count << '\n';
-  }
-  return static_cast<bool>(out);
-}
-
-bool GraphStatsRecorder::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "t_seconds,avg_path_length,clustering,unreachable,nodes,edges\n";
-  for (const auto& p : series_) {
-    out << p.t_seconds << ',' << p.avg_path_length << ','
-        << p.clustering_coefficient << ',' << p.unreachable_fraction << ','
-        << p.nodes << ',' << p.edges << '\n';
-  }
-  return static_cast<bool>(out);
 }
 
 EstimationRecorder::EstimationRecorder(World& world, Options opt)

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "metrics/estimation.hpp"
@@ -125,10 +124,6 @@ class EstimationRecorder : public SeriesRecorder<metrics::ErrorPoint> {
 
   EstimationRecorder(World& world, Options opt = {});
 
-  /// Dumps the series as CSV (t_seconds,avg_error,max_error,truth,nodes).
-  /// Returns false if the file could not be written.
-  bool write_csv(const std::string& path) const;
-
  private:
   void record_sample() override;
   [[nodiscard]] std::vector<double> values(
@@ -160,10 +155,6 @@ class GraphStatsRecorder : public SeriesRecorder<GraphStatsPoint> {
   using Options = GraphStatsRecorderOptions;
 
   GraphStatsRecorder(World& world, Options opt = {});
-
-  /// Dumps the series as CSV
-  /// (t_seconds,avg_path_length,clustering,unreachable,nodes,edges).
-  bool write_csv(const std::string& path) const;
 
  private:
   void record_sample() override;

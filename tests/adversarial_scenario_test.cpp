@@ -34,16 +34,12 @@ std::map<net::NodeId, std::size_t> indegree_snapshot(World& world) {
 }
 
 TEST(Eclipse, StarvesTheTargetOfHonestLinks) {
-  Experiment experiment(SpecBuilder()
-                            .protocol("croupier:alpha=25,gamma=50")
-                            .nodes(100)
-                            .ratio(0.2)
-                            .instant_joins()
-                            .eclipse(1, 10.0, 1.0)
-                            .duration(40)
-                            .record_nothing()
-                            .build(),
-                        7);
+  Experiment experiment(
+      ExperimentSpec::parse("protocol=croupier:alpha=25,gamma=50 "
+                            "nodes=100 ratio=0.2 join=instant "
+                            "eclipse=target:1,at:10,period:1 duration=40 "
+                            "record=none"),
+      7);
   experiment.run();
   // Every period the target's neighbours were crashed and replaced in
   // kind: the population size is preserved while the replacement count
@@ -176,16 +172,11 @@ double hub_indegree_vs_public_mean(Experiment& experiment) {
 }
 
 double run_hub_ratio(const char* protocol, std::uint64_t seed) {
-  Experiment experiment(SpecBuilder()
-                            .protocol(protocol)
-                            .nodes(100)
-                            .ratio(0.2)
-                            .instant_joins()
-                            .adversary_hubs(1)
-                            .duration(60)
-                            .record_nothing()
-                            .build(),
-                        seed);
+  auto spec = ExperimentSpec::parse(
+      "nodes=100 ratio=0.2 join=instant adversary=hubs:1 duration=60 "
+      "record=none");
+  spec.protocol = protocol;
+  Experiment experiment(spec, seed);
   experiment.run();
   return hub_indegree_vs_public_mean(experiment);
 }
@@ -206,16 +197,11 @@ TEST(HubAdversary, InflatesItsInDegreeUnderGozarButNotCroupier) {
 }
 
 TEST(HubAdversary, CountsPoisonedExchangesAndHijackedRelays) {
-  Experiment experiment(SpecBuilder()
-                            .protocol("gozar")
-                            .nodes(100)
-                            .ratio(0.2)
-                            .instant_joins()
-                            .adversary_hubs(1)
-                            .duration(60)
-                            .record_nothing()
-                            .build(),
-                        9);
+  Experiment experiment(
+      ExperimentSpec::parse("protocol=gozar nodes=100 ratio=0.2 "
+                            "join=instant adversary=hubs:1 duration=60 "
+                            "record=none"),
+      9);
   experiment.run();
   World& world = experiment.world();
   const HubSampler* hub = nullptr;

@@ -62,39 +62,27 @@ void expect_instrumented_equivalence(const run::ExperimentSpec& spec,
 }
 
 TEST(ConflictCheckEquivalence, CroupierSteadyState) {
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier:alpha=25,gamma=50")
-                        .nodes(200)
-                        .ratio(0.2)
-                        .duration(30)
-                        .build();
+  const auto spec = run::ExperimentSpec::parse(
+      "protocol=croupier:alpha=25,gamma=50 nodes=200 ratio=0.2 "
+      "duration=30");
   expect_instrumented_equivalence(spec, 42);
 }
 
 TEST(ConflictCheckEquivalence, CyclonMaximalBatches) {
   // Constant latency widens the causal window to the full latency — the
   // largest batches, i.e. the most concurrently-validated writes.
-  const auto spec = run::SpecBuilder()
-                        .protocol("cyclon")
-                        .nodes(150)
-                        .ratio(0.2)
-                        .constant_latency(50.0)
-                        .duration(30)
-                        .build();
+  const auto spec = run::ExperimentSpec::parse(
+      "protocol=cyclon nodes=150 ratio=0.2 latency=constant "
+      "latency-ms=50 duration=30");
   expect_instrumented_equivalence(spec, 5);
 }
 
 TEST(ConflictCheckEquivalence, GozarChurnAndLoss) {
   // Churn exercises view owner tags across node death/respawn, and loss
   // exercises the deferred drop-counter paths next to the inline hooks.
-  const auto spec = run::SpecBuilder()
-                        .protocol("gozar")
-                        .nodes(150)
-                        .ratio(0.2)
-                        .churn(0.02, 15.0)
-                        .loss(0.05)
-                        .duration(30)
-                        .build();
+  const auto spec = run::ExperimentSpec::parse(
+      "protocol=gozar nodes=150 ratio=0.2 churn=0.02 "
+      "churn-at=15 loss=0.05 duration=30");
   expect_instrumented_equivalence(spec, 7);
 }
 

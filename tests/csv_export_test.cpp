@@ -1,19 +1,16 @@
-// CSV export of the metric recorders.
+// CSV export of the metric recorders. The one CSV path is the result
+// sink's --csv mirror, fed by the sweep fold: every recorder column
+// becomes one `series` row per sample, every summary one `value` row.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
-#include "runtime/recorder.hpp"
-#include "test_util.hpp"
+#include "bench_common.hpp"
 
 namespace croupier::run {
 namespace {
-
-using croupier::testing::fast_world_config;
-using croupier::testing::populate;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
@@ -22,45 +19,60 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-TEST(CsvExport, EstimationSeries) {
-  World world(fast_world_config(1), make_croupier_factory({}));
-  populate(world, 5, 15);
-  EstimationRecorder rec(world, {sim::sec(1), 2});
-  rec.start(sim::sec(1));
-  world.simulator().run_until(sim::sec(10));
+std::size_t rows_of(const std::string& csv, const std::string& prefix) {
+  std::size_t n = 0;
+  std::istringstream in(csv);
+  for (std::string line; std::getline(in, line);) {
+    n += line.rfind(prefix, 0) == 0 ? 1 : 0;
+  }
+  return n;
+}
 
-  const std::string path = ::testing::TempDir() + "est_series.csv";
-  ASSERT_TRUE(rec.write_csv(path));
-  const std::string content = slurp(path);
-  EXPECT_NE(content.find("t_seconds,avg_error,max_error,truth,nodes"),
-            std::string::npos);
-  // Header + one row per recorded point.
-  const auto rows = std::count(content.begin(), content.end(), '\n');
-  EXPECT_EQ(static_cast<std::size_t>(rows), rec.series().size() + 1);
+/// One run of `spec` folded and emitted into a CSV file; returns the
+/// file's contents and the fold.
+std::pair<std::string, bench::PointFold> export_csv(
+    const ExperimentSpec& spec, const std::string& file) {
+  bench::BenchArgs args;
+  args.runs = 1;
+  exp::TrialPool pool(1);
+  auto folds = bench::run_sweep(pool, args, {spec});
+  std::vector<std::string> names;
+  for (const Column& column : folds[0].columns) names.push_back(column.name);
+  const std::string path = ::testing::TempDir() + file;
+  {
+    exp::ResultSink sink(path, nullptr);
+    bench::emit(sink, folds[0], names, "summary", args.runs);
+  }
+  std::string content = slurp(path);
   std::remove(path.c_str());
+  return {std::move(content), std::move(folds[0])};
+}
+
+TEST(CsvExport, EstimationSeries) {
+  const auto [csv, fold] = export_csv(
+      ExperimentSpec::parse("protocol=croupier nodes=20 ratio=0.25 "
+                            "join=instant duration=10"),
+      "est_series.csv");
+  EXPECT_EQ(csv.rfind("kind,block,x,y\n", 0), 0u);
+  const std::size_t points = fold.times().size();
+  ASSERT_GT(points, 0u);
+  EXPECT_EQ(rows_of(csv, "series,\"avg-error\","), points);
+  EXPECT_EQ(rows_of(csv, "series,\"max-error\","), points);
+  EXPECT_EQ(rows_of(csv, "value,\"summary\",\"steady avg-err\","), 1u);
+  EXPECT_EQ(rows_of(csv, "value,\"summary\",\"steady max-err\","), 1u);
 }
 
 TEST(CsvExport, GraphSeries) {
-  World world(fast_world_config(2), make_croupier_factory({}));
-  populate(world, 10, 0);
-  GraphStatsRecorder rec(world, {sim::sec(2), 0});
-  rec.start(sim::sec(2));
-  world.simulator().run_until(sim::sec(9));
-
-  const std::string path = ::testing::TempDir() + "graph_series.csv";
-  ASSERT_TRUE(rec.write_csv(path));
-  const std::string content = slurp(path);
-  EXPECT_NE(content.find("avg_path_length"), std::string::npos);
-  EXPECT_EQ(static_cast<std::size_t>(
-                std::count(content.begin(), content.end(), '\n')),
-            rec.series().size() + 1);
-  std::remove(path.c_str());
-}
-
-TEST(CsvExport, UnwritablePathReturnsFalse) {
-  World world(fast_world_config(3), make_croupier_factory({}));
-  EstimationRecorder rec(world, {});
-  EXPECT_FALSE(rec.write_csv("/nonexistent-dir/x/y.csv"));
+  const auto [csv, fold] = export_csv(
+      ExperimentSpec::parse("protocol=croupier nodes=10 ratio=1 "
+                            "join=instant duration=9 record=graph "
+                            "record-every=2"),
+      "graph_series.csv");
+  const std::size_t points = fold.times().size();
+  EXPECT_EQ(points, 4u);  // t = 2, 4, 6, 8
+  EXPECT_EQ(rows_of(csv, "series,\"avg-path-length\","), points);
+  EXPECT_EQ(rows_of(csv, "series,\"clustering-coefficient\","), points);
+  EXPECT_EQ(rows_of(csv, "value,\"summary\",\"final apl\","), 1u);
 }
 
 }  // namespace

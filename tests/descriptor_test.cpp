@@ -113,7 +113,9 @@ TEST(Messages, CroupierShuffleWireSize) {
     req.estimates.push_back({i, 10, 40, 1});
   }
   // 1 type + 8 sender + (1+40) pub + (1+40) pri + (1+50) estimates = 142.
-  EXPECT_EQ(req.wire_size(), 142u);
+  wire::Writer w;
+  req.encode(w);
+  EXPECT_EQ(w.size(), 142u);
 }
 
 }  // namespace

@@ -122,6 +122,15 @@ TEST(DetlintRules, CrossShardMutate) {
   }
 }
 
+TEST(DetlintRules, CrossShardMutateThroughExplicitTemplateCall) {
+  // helper's body (line 7) is shard-reachable only through the call
+  // `helper<int>(from)`, whose '(' follows the template arguments.
+  const auto fs =
+      scan("tests/detlint_fixtures/template_call.cpp", "template_call.cpp");
+  EXPECT_EQ(lines_of(fs, "cross-shard-mutate"), (std::vector<int>{7}));
+  EXPECT_EQ(fs.size(), 1u);
+}
+
 TEST(DetlintRules, CrossShardMutateScopedOutOfEngine) {
   // The same bytes under src/sim/ are the engine kernel itself — out of
   // affinity scope; the now-dead waiver surfaces as a meta finding.

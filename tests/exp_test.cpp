@@ -39,14 +39,6 @@ TEST(TrialPool, RunsEverySubmittedTask) {
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(TrialPool, MapKeepsSubmissionOrder) {
-  TrialPool pool(4);
-  const auto out =
-      pool.map(64, [](std::size_t i) { return static_cast<int>(i) * 3; });
-  ASSERT_EQ(out.size(), 64u);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i * 3);
-}
-
 TEST(TrialPool, WaitIsReusable) {
   TrialPool pool(2);
   std::atomic<int> count{0};
@@ -278,51 +270,62 @@ TEST(SeriesAccum, TruncatesToShortestRunAndMatchesAccum) {
   EXPECT_EQ(acc.means(), (std::vector<double>{ref.mean(), 4.0}));
 }
 
-// The streaming aggregation (SeriesFold over Welford accumulators) must
-// emit the same bytes as the buffered path it replaced: materialise every
-// run, average with plain sum/n, take the two-pass standard deviation.
-// The reference implementation lives only here now — this test is the
-// byte-equality assertion that allowed deleting it from bench_common.
-bench::AggregatedSeries buffered_reference(
-    const std::vector<bench::EstimationSeries>& runs) {
-  bench::AggregatedSeries agg;
+// The streaming aggregation (bench::PointFold over Welford accumulators)
+// must emit the same bytes as the buffered path it replaced: materialise
+// every run's recorder table, average with plain sum/n, take the two-pass
+// standard deviation. The reference implementation lives only here now —
+// this test is the byte-equality assertion that allowed deleting it from
+// bench_common.
+struct Aggregate {
+  std::vector<double> t;
+  std::vector<std::vector<double>> mean;  // per column
+  std::vector<std::vector<double>> sd;
+};
+
+Aggregate buffered_reference(const std::vector<run::ColumnTable>& runs) {
+  Aggregate agg;
   std::size_t len = runs[0].t.size();
   for (const auto& r : runs) len = std::min(len, r.t.size());
   const auto n = static_cast<double>(runs.size());
-  for (std::size_t i = 0; i < len; ++i) {
-    double a = 0;
-    double m = 0;
-    double tr = 0;
-    for (const auto& r : runs) {
-      a += r.avg_err[i];
-      m += r.max_err[i];
-      tr += r.truth[i];
+  agg.t.assign(runs[0].t.begin(),
+               runs[0].t.begin() + static_cast<std::ptrdiff_t>(len));
+  for (std::size_t c = 0; c < runs[0].values.size(); ++c) {
+    auto& mean = agg.mean.emplace_back();
+    auto& sd = agg.sd.emplace_back();
+    for (std::size_t i = 0; i < len; ++i) {
+      double sum = 0;
+      for (const auto& r : runs) sum += r.values[c][i];
+      const double m = sum / n;
+      double var = 0;
+      for (const auto& r : runs) {
+        var += (r.values[c][i] - m) * (r.values[c][i] - m);
+      }
+      const double denom = runs.size() > 1 ? n - 1 : 1;
+      mean.push_back(m);
+      sd.push_back(std::sqrt(var / denom));
     }
-    const double a_mean = a / n;
-    const double m_mean = m / n;
-    double a_var = 0;
-    double m_var = 0;
-    for (const auto& r : runs) {
-      a_var += (r.avg_err[i] - a_mean) * (r.avg_err[i] - a_mean);
-      m_var += (r.max_err[i] - m_mean) * (r.max_err[i] - m_mean);
-    }
-    const double denom = runs.size() > 1 ? n - 1 : 1;
-    agg.t.push_back(runs[0].t[i]);
-    agg.avg_err.push_back(a_mean);
-    agg.avg_err_sd.push_back(std::sqrt(a_var / denom));
-    agg.max_err.push_back(m_mean);
-    agg.max_err_sd.push_back(std::sqrt(m_var / denom));
-    agg.truth.push_back(tr / n);
   }
   return agg;
 }
 
-std::string printed_bytes(const bench::AggregatedSeries& agg) {
+Aggregate streamed(const bench::PointFold& fold) {
+  Aggregate agg;
+  agg.t = fold.times();
+  for (const auto& column : fold.values) {
+    agg.mean.push_back(column.means());
+    agg.sd.push_back(column.stddevs());
+  }
+  return agg;
+}
+
+std::string printed_bytes(const Aggregate& agg) {
   std::string out;
   for (std::size_t i = 0; i < agg.t.size(); ++i) {
-    out += strf("%.0f %.6f %.6f | %.0f %.6f %.6f\n", agg.t[i], agg.avg_err[i],
-                agg.avg_err_sd[i], agg.t[i], agg.max_err[i],
-                agg.max_err_sd[i]);
+    for (std::size_t c = 0; c < agg.mean.size(); ++c) {
+      out += strf("%s%.0f %.6f %.6f", c == 0 ? "" : " | ", agg.t[i],
+                  agg.mean[c][i], agg.sd[c][i]);
+    }
+    out += '\n';
   }
   return out;
 }
@@ -331,54 +334,48 @@ TEST(StreamingAggregation, MatchesBufferedPathBytes) {
   bench::BenchArgs args;
   args.runs = 4;
   args.seed = 13;
-  const auto spec = bench::paper_spec(48, 20)
-                        .protocol(bench::croupier_proto(10, 25))
-                        .ratio(0.25)
-                        .build();
+  auto spec = bench::paper_spec(48, 20);
+  spec.protocol = bench::croupier_proto(10, 25);
+  spec.ratio = 0.25;
   TrialPool pool(2);
 
-  // Buffered reference: every run materialised, then aggregated.
-  std::vector<bench::EstimationSeries> runs;
+  // Buffered reference: every run's table materialised, then aggregated.
+  std::vector<run::ColumnTable> runs;
   for (std::size_t r = 0; r < args.runs; ++r) {
-    runs.push_back(bench::run_spec_series(spec, trial_seed(args.seed, 0, r)));
+    run::Experiment experiment(spec, trial_seed(args.seed, 0, r));
+    experiment.run();
+    runs.push_back(experiment.recorder()->table());
   }
   const auto buffered = buffered_reference(runs);
 
-  // Streaming path: the run_series_grid benches actually use.
-  const auto streamed = bench::run_series_grid(
-      pool, args, 1,
-      [&](std::size_t, std::uint64_t seed) {
-        return bench::run_spec_series(spec, seed);
-      });
-  ASSERT_EQ(streamed.size(), 1u);
-  ASSERT_FALSE(streamed[0].t.empty());
-  EXPECT_EQ(printed_bytes(buffered), printed_bytes(streamed[0]));
+  // Streaming path: the run_sweep the benches and croupier-lab use.
+  const auto folds = bench::run_sweep(pool, args, {spec});
+  ASSERT_EQ(folds.size(), 1u);
+  ASSERT_EQ(folds[0].values.size(), 2u);  // avg- and max-error
+  ASSERT_FALSE(folds[0].t.empty());
+  EXPECT_EQ(printed_bytes(buffered), printed_bytes(streamed(folds[0])));
 }
 
 // The cornerstone guarantee: a fig1-style experiment fanned out over 4
 // workers aggregates to *byte-identical* series as the same experiment on
-// 1 worker. Uses the real bench plumbing (run_series_grid + specs +
+// 1 worker. Uses the real bench plumbing (run_sweep + specs + emit +
 // ResultSink) on a miniature world so it stays fast.
 TEST(TrialGridDeterminism, FourJobsMatchSerialByteForByte) {
   bench::BenchArgs args;
   args.runs = 3;
   args.seed = 7;
   const std::pair<std::size_t, std::size_t> windows[] = {{10, 25}, {25, 50}};
+  std::vector<run::ExperimentSpec> specs;
+  for (const auto& [alpha, gamma] : windows) {
+    auto& spec = specs.emplace_back(bench::paper_spec(32, 15));
+    spec.protocol = bench::croupier_proto(alpha, gamma);
+    spec.ratio = 0.25;
+  }
 
   const auto run_experiment = [&](std::size_t jobs) {
     TrialPool pool(jobs);
-    return bench::run_series_grid(
-        pool, args, 2, [&](std::size_t p, std::uint64_t seed) {
-          return bench::run_spec_series(
-              bench::paper_spec(32, 15)
-                  .protocol(bench::croupier_proto(windows[p].first,
-                                                  windows[p].second))
-                  .ratio(0.25)
-                  .build(),
-              seed);
-        });
+    return bench::run_sweep(pool, args, specs);
   };
-
   const auto serial = run_experiment(1);
   const auto parallel = run_experiment(4);
 
@@ -386,22 +383,23 @@ TEST(TrialGridDeterminism, FourJobsMatchSerialByteForByte) {
   for (std::size_t p = 0; p < serial.size(); ++p) {
     // Bitwise equality on the aggregated doubles — not near-equality:
     // identical trials summed in a fixed order must give identical bits.
-    EXPECT_EQ(serial[p].t, parallel[p].t);
-    EXPECT_EQ(serial[p].avg_err, parallel[p].avg_err);
-    EXPECT_EQ(serial[p].avg_err_sd, parallel[p].avg_err_sd);
-    EXPECT_EQ(serial[p].max_err, parallel[p].max_err);
-    EXPECT_EQ(serial[p].max_err_sd, parallel[p].max_err_sd);
-    EXPECT_EQ(serial[p].truth, parallel[p].truth);
-    EXPECT_FALSE(serial[p].t.empty());
+    const auto a = streamed(serial[p]);
+    const auto b = streamed(parallel[p]);
+    EXPECT_EQ(a.t, b.t);
+    EXPECT_EQ(a.mean, b.mean);
+    EXPECT_EQ(a.sd, b.sd);
+    EXPECT_FALSE(a.t.empty());
   }
 
   // And the emitted artifacts match byte for byte, spread column included.
-  const auto emit = [&](const std::vector<bench::AggregatedSeries>& aggs,
+  const auto emit = [&](const std::vector<bench::PointFold>& folds,
                         const std::string& csv_path) {
     ResultSink sink(csv_path, nullptr);
-    for (std::size_t p = 0; p < aggs.size(); ++p) {
-      sink.series(strf("fig1a avg-error w=%zu", p), aggs[p].t,
-                  aggs[p].avg_err, aggs[p].avg_err_sd);
+    for (std::size_t p = 0; p < folds.size(); ++p) {
+      bench::emit(sink, folds[p],
+                  {strf("fig1a avg-error w=%zu", p),
+                   strf("fig1b max-error w=%zu", p)},
+                  strf("summary w=%zu", p), args.runs);
     }
   };
   const std::string csv1 = ::testing::TempDir() + "det_jobs1.csv";
@@ -414,6 +412,30 @@ TEST(TrialGridDeterminism, FourJobsMatchSerialByteForByte) {
   EXPECT_NE(contents1.find("spread,"), std::string::npos);
   std::remove(csv1.c_str());
   std::remove(csv4.c_str());
+}
+
+// A bad spec fails before any trial starts: run_sweep validates the
+// whole sweep up front instead of surfacing a TrialPool rethrow.
+TEST(TrialGridDeterminism, SweepValidatesEverySpecBeforeFanOut) {
+  bench::BenchArgs args;
+  args.runs = 1;
+  auto good = bench::paper_spec(32, 15);
+  auto bad = good;
+  bad.churn = 1.0;  // outside [0, 1)
+  auto silent = good;
+  silent.record = run::ExperimentSpec::RecordKind::None;
+  TrialPool pool(2);
+  std::atomic<int> trials{0};
+  const auto count = [&trials](const run::ExperimentSpec&, std::uint64_t) {
+    return ++trials;
+  };
+  EXPECT_THROW((void)bench::run_trial_grid(pool, args, {good, bad}, count),
+               std::invalid_argument);
+  EXPECT_EQ(trials.load(), 0);
+  EXPECT_THROW((void)bench::run_sweep(pool, args, {good, bad}),
+               std::invalid_argument);
+  EXPECT_THROW((void)bench::run_sweep(pool, args, {good, silent}),
+               std::invalid_argument);
 }
 
 }  // namespace

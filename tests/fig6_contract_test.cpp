@@ -46,14 +46,14 @@ struct Fig6Stats {
 };
 
 Fig6Stats measure(const char* protocol, double ratio, std::uint64_t seed) {
-  Experiment experiment(SpecBuilder()
-                            .protocol(protocol)
-                            .nodes(1000)
-                            .ratio(ratio)
-                            .record_randomness(10.0)
-                            .duration(120)
-                            .build(),
-                        seed);
+  ExperimentSpec spec;
+  spec.protocol = protocol;
+  spec.nodes = 1000;
+  spec.ratio = ratio;
+  spec.record = ExperimentSpec::RecordKind::Randomness;
+  spec.record_every_s = 10.0;
+  spec.duration_s = 120;
+  Experiment experiment(spec, seed);
   experiment.run();
   Fig6Stats stats;
   const auto& series = experiment.randomness()->series();

@@ -182,51 +182,35 @@ void expect_engine_equivalence(const run::ExperimentSpec& spec,
 TEST(ParallelWorldDeterminism, CroupierPoissonJoins500Nodes) {
   // The ISSUE's acceptance shape: a 500-node croupier run, world-jobs 1
   // vs 4 byte-identical.
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier:alpha=25,gamma=50")
-                        .nodes(500)
-                        .ratio(0.2)
-                        .duration(60)
-                        .build();
+  const auto spec = run::ExperimentSpec::parse(
+      "protocol=croupier:alpha=25,gamma=50 nodes=500 ratio=0.2 "
+      "duration=60");
   expect_engine_equivalence(spec, 42);
 }
 
 TEST(ParallelWorldDeterminism, ChurnAndLoss) {
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier")
-                        .nodes(300)
-                        .ratio(0.2)
-                        .churn(0.02, 20.0)
-                        .loss(0.05)
-                        .duration(50)
-                        .build();
+  const auto spec = run::ExperimentSpec::parse(
+      "protocol=croupier nodes=300 ratio=0.2 churn=0.02 "
+      "churn-at=20 loss=0.05 duration=50");
   expect_engine_equivalence(spec, 7);
 }
 
 TEST(ParallelWorldDeterminism, NatIdProtocolStaysSerialized) {
   // NAT-ID handlers mutate the shared bootstrap registry; the delivery
   // affinity policy must pin them to the serial path.
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier")
-                        .nodes(200)
-                        .ratio(0.3)
-                        .natid()
-                        .duration(40)
-                        .build();
+  const auto spec = run::ExperimentSpec::parse(
+      "protocol=croupier nodes=200 ratio=0.3 natid=1 "
+      "duration=40");
   expect_engine_equivalence(spec, 11);
 }
 
 TEST(ParallelWorldDeterminism, CatastropheUnderGozar) {
   // Cross-protocol + mass kill mid-run (fig. 7b shape); graph recording
   // exercises the other recorder path.
-  const auto spec = run::SpecBuilder()
-                        .protocol("gozar")
-                        .nodes(300)
-                        .ratio(0.2)
-                        .catastrophe(0.5, 25.0)
-                        .record_graph(10.0)
-                        .duration(50)
-                        .build();
+  const auto spec = run::ExperimentSpec::parse(
+      "protocol=gozar nodes=300 ratio=0.2 catastrophe=0.5 "
+      "catastrophe-at=25 record=graph record-every=10 "
+      "duration=50");
   expect_engine_equivalence(spec, 3);
 }
 
@@ -234,13 +218,9 @@ TEST(ParallelWorldDeterminism, FlashCrowdSurge) {
   // A join surge ramping up and down mid-run: a long train of
   // serial-affinity spawn events interleaved with node-affine gossip —
   // the barrier-heavy shape for the batch former.
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier:alpha=25,gamma=50")
-                        .nodes(200)
-                        .ratio(0.2)
-                        .flash_crowd(80, 20, 20.0, 8.0)
-                        .duration(45)
-                        .build();
+  const auto spec = run::ExperimentSpec::parse(
+      "protocol=croupier:alpha=25,gamma=50 nodes=200 ratio=0.2 "
+      "flash=at:20,publics:80,privates:20,over:8 duration=45");
   expect_engine_equivalence(spec, 13);
 }
 
@@ -248,15 +228,9 @@ TEST(ParallelWorldDeterminism, RegionCorrelatedFailure) {
   // A latency-correlated cohort kill: one serial event that reads the
   // latency model and the scenario RNG, then mass-detaches — everything
   // after it must replay identically.
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier")
-                        .nodes(250)
-                        .ratio(0.2)
-                        .correlated_failure(
-                            0.4, 20.0,
-                            run::ExperimentSpec::FailureCorr::Region)
-                        .duration(40)
-                        .build();
+  const auto spec = run::ExperimentSpec::parse(
+      "protocol=croupier nodes=250 ratio=0.2 "
+      "failure=at:20,frac:0.4,corr:region duration=40");
   expect_engine_equivalence(spec, 23);
 }
 
@@ -269,13 +243,9 @@ TEST(ParallelWorldDeterminism, StructuredTimeVaryingLoss) {
   loss.priv_pub = 0.3;
   loss.priv_priv = 0.3;
   loss.after_s = 15.0;
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier")
-                        .nodes(250)
-                        .ratio(0.2)
-                        .loss(loss)
-                        .duration(40)
-                        .build();
+  auto spec = run::ExperimentSpec::parse(
+      "protocol=croupier nodes=250 ratio=0.2 duration=40");
+  spec.loss = loss;
   expect_engine_equivalence(spec, 29);
 }
 
@@ -283,13 +253,9 @@ TEST(ParallelWorldDeterminism, FragmentedShufflesReassembleIdentically) {
   // mtu=64 forces every croupier shuffle through the fragmenter (k = 2):
   // per-receiver reassembly maps mutate inline under node affinity and
   // each message adds a GC event — both must replay identically.
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier:alpha=25,gamma=50")
-                        .nodes(300)
-                        .ratio(0.2)
-                        .mtu(64)
-                        .duration(50)
-                        .build();
+  const auto spec = run::ExperimentSpec::parse(
+      "protocol=croupier:alpha=25,gamma=50 nodes=300 ratio=0.2 "
+      "mtu=64 duration=50");
   expect_engine_equivalence(spec, 31);
 }
 
@@ -297,15 +263,9 @@ TEST(ParallelWorldDeterminism, FecUnderFragmentLossDrawsIdentically) {
   // Per-fragment loss multiplies the network RNG draw count and the FEC
   // decoder exercises the GF(256) elimination on partial arrivals; the
   // draw pattern and reassembly outcomes must not depend on the engine.
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier")
-                        .nodes(250)
-                        .ratio(0.2)
-                        .mtu(64)
-                        .fec(2)
-                        .loss(0.1)
-                        .duration(45)
-                        .build();
+  const auto spec = run::ExperimentSpec::parse(
+      "protocol=croupier nodes=250 ratio=0.2 mtu=64 fec=2 "
+      "loss=0.1 duration=45");
   expect_engine_equivalence(spec, 37);
 }
 
@@ -314,14 +274,9 @@ TEST(ParallelWorldDeterminism, BandwidthCapDelaysIdentically) {
   // the queueing delay they add to every datagram must be identical
   // whatever the worker count, or delivery times (and therefore every
   // downstream shuffle) diverge.
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier")
-                        .nodes(200)
-                        .ratio(0.2)
-                        .mtu(128)
-                        .bandwidth(20000, 4000)
-                        .duration(40)
-                        .build();
+  const auto spec = run::ExperimentSpec::parse(
+      "protocol=croupier nodes=200 ratio=0.2 mtu=128 "
+      "bandwidth=rate:20000,burst:4000 duration=40");
   expect_engine_equivalence(spec, 41);
 }
 
@@ -332,28 +287,19 @@ TEST(ParallelWorldDeterminism, ZeroMinLatencyDegeneratesToSameTimestamp) {
   // not after, the causal floor — and must form the next batch instead
   // of tripping the floor assert (regression: the floor was once the
   // window end, which this workload violates by construction).
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier")
-                        .nodes(200)
-                        .ratio(0.2)
-                        .instant_joins()
-                        .skew(0.0)  // all rounds share timestamps
-                        .constant_latency(0.0004)
-                        .duration(20)
-                        .build();
+  // skew=0: all rounds share timestamps.
+  const auto spec = run::ExperimentSpec::parse(
+      "protocol=croupier nodes=200 ratio=0.2 join=instant skew=0 "
+      "latency=constant latency-ms=0.0004 duration=20");
   expect_engine_equivalence(spec, 19);
 }
 
 TEST(ParallelWorldDeterminism, ConstantLatencyMaximalBatches) {
   // Constant latency gives the widest causal windows (lookahead = the
   // full latency), the stress case for batch formation.
-  const auto spec = run::SpecBuilder()
-                        .protocol("cyclon")
-                        .nodes(300)
-                        .ratio(0.2)
-                        .constant_latency(50.0)
-                        .duration(40)
-                        .build();
+  const auto spec = run::ExperimentSpec::parse(
+      "protocol=cyclon nodes=300 ratio=0.2 latency=constant "
+      "latency-ms=50 duration=40");
   expect_engine_equivalence(spec, 5);
 }
 
@@ -362,14 +308,10 @@ TEST(ParallelWorldDeterminism, EclipseRespawnsIdentically) {
   // view, mass-kills and respawns — every respawned node's RNG lineage
   // and first-round schedule must replay identically, and the audit
   // recorder folds the resulting in-degree skew into the fingerprint.
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier:alpha=25,gamma=50")
-                        .nodes(250)
-                        .ratio(0.2)
-                        .eclipse(1, 15.0, 2.0)
-                        .record_randomness(10.0)
-                        .duration(40)
-                        .build();
+  const auto spec = run::ExperimentSpec::parse(
+      "protocol=croupier:alpha=25,gamma=50 nodes=250 ratio=0.2 "
+      "eclipse=target:1,at:15,period:2 record=randomness "
+      "record-every=10 duration=40");
   expect_engine_equivalence(spec, 43);
 }
 
@@ -378,14 +320,10 @@ TEST(ParallelWorldDeterminism, NatFlapReclassifiesIdentically) {
   // epoch-tagged RNG forks; pending round events of the old epoch must
   // no-op identically under every engine, and nylon's punch chains are
   // the workload most entangled with the flipped classes.
-  const auto spec = run::SpecBuilder()
-                        .protocol("nylon")
-                        .nodes(200)
-                        .ratio(0.2)
-                        .natflap(0.1, 15.0, 5.0)
-                        .record_randomness(10.0)
-                        .duration(40)
-                        .build();
+  const auto spec = run::ExperimentSpec::parse(
+      "protocol=nylon nodes=200 ratio=0.2 "
+      "natflap=frac:0.1,at:15,period:5 record=randomness "
+      "record-every=10 duration=40");
   expect_engine_equivalence(spec, 47);
 }
 
@@ -393,24 +331,15 @@ TEST(ParallelWorldDeterminism, HubAdversaryUnderGozar) {
   // Hub shims answer shuffles and hijack relays from inside the normal
   // delivery path (node-affine events); their poisoned responses must
   // interleave identically with honest traffic.
-  const auto spec = run::SpecBuilder()
-                        .protocol("gozar")
-                        .nodes(250)
-                        .ratio(0.2)
-                        .adversary_hubs(2)
-                        .record_randomness(10.0)
-                        .duration(40)
-                        .build();
+  const auto spec = run::ExperimentSpec::parse(
+      "protocol=gozar nodes=250 ratio=0.2 adversary=hubs:2 "
+      "record=randomness record-every=10 duration=40");
   expect_engine_equivalence(spec, 53);
 }
 
 TEST(ParallelWorldEngine, ReportsBatchingStats) {
-  const auto spec = run::SpecBuilder()
-                        .protocol("croupier")
-                        .nodes(300)
-                        .ratio(0.2)
-                        .duration(30)
-                        .build();
+  const auto spec = run::ExperimentSpec::parse(
+      "protocol=croupier nodes=300 ratio=0.2 duration=30");
   run::Experiment experiment(spec, 1, /*world_jobs=*/4);
   EXPECT_NE(experiment.world().engine_stats(), nullptr);
   experiment.run();

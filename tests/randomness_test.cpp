@@ -192,13 +192,9 @@ namespace croupier::run {
 namespace {
 
 TEST(RandomnessRecorder, TwinRunsAreBitwiseIdentical) {
-  const auto spec = SpecBuilder()
-                        .protocol("croupier:alpha=25,gamma=50")
-                        .nodes(150)
-                        .ratio(0.2)
-                        .record_randomness(5.0)
-                        .duration(40)
-                        .build();
+  const auto spec = ExperimentSpec::parse(
+      "protocol=croupier:alpha=25,gamma=50 nodes=150 ratio=0.2 "
+      "record=randomness record-every=5 duration=40");
   const auto run = [&spec] {
     Experiment experiment(spec, 77);
     experiment.run();

@@ -47,16 +47,12 @@ TEST(Churn, CarryIsDroppedWhileAClassIsEmpty) {
 TEST(FlashCrowd, RampSpreadsArrivalsAcrossTheWindow) {
   // 60 extra nodes over a 4 s window starting at t=5 s: the triangular
   // profile puts exactly half the arrivals in the first half-window.
-  Experiment experiment(SpecBuilder()
-                            .protocol("croupier")
-                            .nodes(20)
-                            .ratio(0.5)
-                            .instant_joins()
-                            .flash_crowd(30, 10, 5.0, 4.0)
-                            .duration(10)
-                            .record_nothing()
-                            .build(),
-                        17);
+  Experiment experiment(
+      ExperimentSpec::parse("protocol=croupier nodes=20 ratio=0.5 "
+                            "join=instant "
+                            "flash=at:5,publics:30,privates:10,over:4 "
+                            "duration=10 record=none"),
+      17);
   experiment.run_until(sim::sec(5));
   EXPECT_EQ(experiment.world().alive_count(), 20u);  // surge not started
   experiment.run_until(sim::sec(7));                 // window midpoint
@@ -179,18 +175,13 @@ TEST(ScenarioLifecycle, JoinRestartDoesNotStackChains) {
 }
 
 TEST(ScenarioPipeline, ExperimentExposesItsProcesses) {
-  Experiment experiment(SpecBuilder()
-                            .protocol("croupier")
-                            .nodes(40)
-                            .ratio(0.25)
-                            .flash_crowd(10, 10, 15.0, 2.0)
-                            .churn(0.01, 10)
-                            .correlated_failure(
-                                0.2, 20, ExperimentSpec::FailureCorr::Private)
-                            .duration(25)
-                            .record_nothing()
-                            .build(),
-                        5);
+  Experiment experiment(
+      ExperimentSpec::parse("protocol=croupier nodes=40 ratio=0.25 "
+                            "flash=at:15,publics:10,privates:10,over:2 "
+                            "churn=0.01 churn-at=10 "
+                            "failure=at:20,frac:0.2,corr:private "
+                            "duration=25 record=none"),
+      5);
   // Poisson pubs + poisson privs + flash + churn + failure.
   EXPECT_EQ(experiment.scenario().size(), 5u);
   experiment.run();

@@ -1,4 +1,4 @@
-// ExperimentSpec / SpecBuilder / Experiment: the declarative experiment
+// ExperimentSpec / Experiment: the declarative experiment
 // surface. Covers the parse/to_string round-trip, validation, population
 // arithmetic, and the load-bearing equivalence guarantee: a spec-built
 // Experiment replays a hand-built World event for event (identical
@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -18,6 +19,15 @@
 namespace croupier::run {
 namespace {
 
+/// The default spec with `set` applied, then validated — the path a C++
+/// call site takes (Experiment's constructor runs the same validate()).
+ExperimentSpec validated(const std::function<void(ExperimentSpec&)>& set) {
+  ExperimentSpec spec;
+  set(spec);
+  spec.validate();
+  return spec;
+}
+
 TEST(ExperimentSpec, DefaultsRoundTripMinimally) {
   const ExperimentSpec spec;
   EXPECT_EQ(spec.to_string(),
@@ -26,23 +36,32 @@ TEST(ExperimentSpec, DefaultsRoundTripMinimally) {
 }
 
 TEST(ExperimentSpec, FullyLoadedSpecRoundTrips) {
-  const auto spec = SpecBuilder()
-                        .protocol("croupier:alpha=10,gamma=25,merge=healer")
-                        .nodes(1234)
-                        .ratio(0.33)
-                        .fixed_joins(42.5, 13)
-                        .join_step(333, 7, 58, 42)
-                        .churn(0.025, 61)
-                        .catastrophe(0.8, 60)
-                        .loss(0.05)
-                        .skew(0.1)
-                        .private_round_scale(1.2)
-                        .constant_latency(20)
-                        .round_period(500)
-                        .natid()
-                        .duration(123.456)
-                        .record_graph(2.5)
-                        .build();
+  const auto spec = validated([](ExperimentSpec& s) {
+    s.protocol = "croupier:alpha=10,gamma=25,merge=healer";
+    s.nodes = 1234;
+    s.ratio = 0.33;
+    s.join = ExperimentSpec::JoinKind::Fixed;
+    s.join_public_ms = 42.5;
+    s.join_private_ms = 13;
+    s.step_publics = 333;
+    s.step_privates = 7;
+    s.step_at_s = 58;
+    s.step_every_ms = 42;
+    s.churn = 0.025;
+    s.churn_at_s = 61;
+    s.catastrophe = 0.8;
+    s.catastrophe_at_s = 60;
+    s.loss = 0.05;
+    s.skew = 0.1;
+    s.private_round_scale = 1.2;
+    s.latency = World::LatencyKind::Constant;
+    s.latency_ms = 20;
+    s.round_ms = 500;
+    s.natid = true;
+    s.duration_s = 123.456;
+    s.record = ExperimentSpec::RecordKind::Graph;
+    s.record_every_s = 2.5;
+  });
   const auto text = spec.to_string();
   EXPECT_EQ(ExperimentSpec::parse(text), spec) << text;
   // And the canonical form is stable (parse -> to_string is idempotent).
@@ -69,7 +88,9 @@ TEST(ExperimentSpec, ParseRejectsUnknownKeysAndBadValues) {
   // later inside a TrialPool worker where the throw would abort the run.
   EXPECT_THROW((void)ExperimentSpec::parse("protocol=chord"),
                std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().protocol("croupier:aplha=25").build(),
+  EXPECT_THROW((void)validated([](ExperimentSpec& s) {
+                 s.protocol = "croupier:aplha=25";
+               }),
                std::invalid_argument);
 }
 
@@ -82,7 +103,8 @@ TEST(ExperimentSpec, LossRateOneIsRejectedAtValidateTime) {
   EXPECT_THROW((void)ExperimentSpec::parse("loss=1"), std::invalid_argument);
   EXPECT_THROW((void)ExperimentSpec::parse("loss=priv-any:1.0"),
                std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().loss(1.0).build(), std::invalid_argument);
+  EXPECT_THROW((void)validated([](ExperimentSpec& s) { s.loss = 1.0; }),
+               std::invalid_argument);
   EXPECT_NO_THROW((void)ExperimentSpec::parse("loss=0.999"));
 }
 
@@ -176,33 +198,41 @@ TEST(ExperimentSpec, NewScenarioFamiliesRoundTripFullyLoaded) {
   loss.priv_pub = 0.3;
   loss.priv_priv = 0.25;
   loss.after_s = 42.5;
-  const auto spec =
-      SpecBuilder()
-          .protocol("croupier")
-          .nodes(800)
-          .ratio(0.25)
-          .flash_crowd(200, 50, 33.5, 7.25)
-          .correlated_failure(0.4, 90,
-                              ExperimentSpec::FailureCorr::Public)
-          .loss(loss)
-          .duration(150)
-          .build();
+  const auto spec = validated([&loss](ExperimentSpec& s) {
+    s.protocol = "croupier";
+    s.nodes = 800;
+    s.ratio = 0.25;
+    s.flash_publics = 200;
+    s.flash_privates = 50;
+    s.flash_at_s = 33.5;
+    s.flash_over_s = 7.25;
+    s.failure_frac = 0.4;
+    s.failure_at_s = 90;
+    s.failure_corr = ExperimentSpec::FailureCorr::Public;
+    s.loss = loss;
+    s.duration_s = 150;
+  });
   const auto text = spec.to_string();
   EXPECT_EQ(ExperimentSpec::parse(text), spec) << text;
   EXPECT_EQ(ExperimentSpec::parse(text).to_string(), text);
 }
 
 TEST(ExperimentSpec, AdversarialFamiliesParseValidateAndRoundTrip) {
-  const auto spec = SpecBuilder()
-                        .protocol("gozar")
-                        .nodes(400)
-                        .ratio(0.2)
-                        .eclipse(7, 33.5, 2.5)
-                        .natflap(0.15, 40.0, 12.5)
-                        .adversary_hubs(3)
-                        .record_randomness(5)
-                        .duration(120)
-                        .build();
+  const auto spec = validated([](ExperimentSpec& s) {
+    s.protocol = "gozar";
+    s.nodes = 400;
+    s.ratio = 0.2;
+    s.eclipse_target = 7;
+    s.eclipse_at_s = 33.5;
+    s.eclipse_period_s = 2.5;
+    s.natflap_frac = 0.15;
+    s.natflap_at_s = 40.0;
+    s.natflap_period_s = 12.5;
+    s.adversary_hubs = 3;
+    s.record = ExperimentSpec::RecordKind::Randomness;
+    s.record_every_s = 5;
+    s.duration_s = 120;
+  });
   const auto text = spec.to_string();
   EXPECT_EQ(ExperimentSpec::parse(text), spec) << text;
   EXPECT_EQ(ExperimentSpec::parse(text).to_string(), text);
@@ -222,36 +252,67 @@ TEST(ExperimentSpec, AdversarialFamiliesParseValidateAndRoundTrip) {
 TEST(ExperimentSpec, AdversarialBoundsAreRejectedAtValidateTime) {
   // An eclipse target the join processes never spawn (ids are assigned
   // 1..nodes) would silently no-op forever.
-  EXPECT_THROW((void)SpecBuilder().nodes(100).eclipse(101).build(),
+  EXPECT_THROW((void)validated([](ExperimentSpec& s) {
+                 s.nodes = 100;
+                 s.eclipse_target = 101;
+               }),
                std::invalid_argument);
-  EXPECT_NO_THROW((void)SpecBuilder().nodes(100).eclipse(100).build());
-  EXPECT_THROW((void)SpecBuilder().eclipse(1, 10.0, 0.0).build(),
+  EXPECT_NO_THROW((void)validated([](ExperimentSpec& s) {
+    s.nodes = 100;
+    s.eclipse_target = 100;
+  }));
+  EXPECT_THROW((void)validated([](ExperimentSpec& s) {
+                 s.eclipse_target = 1;
+                 s.eclipse_at_s = 10.0;
+                 s.eclipse_period_s = 0.0;
+               }),
                std::invalid_argument);
   // NAT flapping needs a NAT class to flap.
-  EXPECT_THROW((void)SpecBuilder().ratio(1.0).natflap(0.1).build(),
+  EXPECT_THROW((void)validated([](ExperimentSpec& s) {
+                 s.ratio = 1.0;
+                 s.natflap_frac = 0.1;
+               }),
                std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().natflap(1.5).build(),
-               std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().natflap(0.1, 10.0, 0.0).build(),
+  EXPECT_THROW(
+      (void)validated([](ExperimentSpec& s) { s.natflap_frac = 1.5; }),
+      std::invalid_argument);
+  EXPECT_THROW((void)validated([](ExperimentSpec& s) {
+                 s.natflap_frac = 0.1;
+                 s.natflap_at_s = 10.0;
+                 s.natflap_period_s = 0.0;
+               }),
                std::invalid_argument);
   // At least one honest node must remain to audit.
-  EXPECT_THROW((void)SpecBuilder().nodes(10).adversary_hubs(10).build(),
+  EXPECT_THROW((void)validated([](ExperimentSpec& s) {
+                 s.nodes = 10;
+                 s.adversary_hubs = 10;
+               }),
                std::invalid_argument);
-  EXPECT_NO_THROW((void)SpecBuilder().nodes(10).adversary_hubs(9).build());
+  EXPECT_NO_THROW((void)validated([](ExperimentSpec& s) {
+    s.nodes = 10;
+    s.adversary_hubs = 9;
+  }));
 }
 
 TEST(ExperimentSpec, ValidateRejectsOutOfRangeFields) {
-  EXPECT_THROW((void)SpecBuilder().nodes(0).build(), std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().ratio(-0.1).build(),
+  EXPECT_THROW((void)validated([](ExperimentSpec& s) { s.nodes = 0; }),
                std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().churn(1.0).build(),
+  EXPECT_THROW((void)validated([](ExperimentSpec& s) { s.ratio = -0.1; }),
                std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().loss(2.0).build(), std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().duration(0).build(),
+  EXPECT_THROW((void)validated([](ExperimentSpec& s) { s.churn = 1.0; }),
                std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().poisson_joins(0, 13).build(),
+  EXPECT_THROW((void)validated([](ExperimentSpec& s) { s.loss = 2.0; }),
                std::invalid_argument);
-  EXPECT_NO_THROW((void)SpecBuilder().build());
+  EXPECT_THROW(
+      (void)validated([](ExperimentSpec& s) { s.duration_s = 0; }),
+      std::invalid_argument);
+  EXPECT_THROW((void)validated([](ExperimentSpec& s) {
+                 s.join = ExperimentSpec::JoinKind::Poisson;
+                 s.join_public_ms = 0;
+                 s.join_private_ms = 13;
+               }),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)validated([](ExperimentSpec&) {}));
 }
 
 TEST(ExperimentSpec, PacketFamiliesParseAndRoundTrip) {
@@ -287,25 +348,37 @@ TEST(ExperimentSpec, PacketFamiliesParseAndRoundTrip) {
   EXPECT_EQ(ExperimentSpec().to_string(),
             "protocol=croupier nodes=1000 ratio=0.2 duration=200");
 
-  // Builder surface mirrors the grammar.
-  const auto built = SpecBuilder().mtu(256).bandwidth(10000, 40000)
-                         .fec(1, 0.25).build();
+  // Field assignments spell the same spec as the composite grammar.
+  const auto built = validated([](ExperimentSpec& s) {
+    s.mtu = 256;
+    s.bandwidth_bps = 10000;
+    s.bandwidth_burst = 40000;
+    s.fec_repair = 1;
+    s.fec_rate = 0.25;
+    s.duration_s = 100;
+  });
   EXPECT_EQ(built.mtu, 256u);
   EXPECT_EQ(built.bandwidth_burst, 40000u);
   EXPECT_EQ(built.fec_rate, 0.25);
+  EXPECT_EQ(built, full);
 }
 
 TEST(ExperimentSpec, PacketValidationRejectsBadGeometry) {
   // mtu must exceed the 20-byte fragment header.
-  EXPECT_THROW((void)SpecBuilder().mtu(20).build(), std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().mtu(12).build(), std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().mtu(70000).build(),
-               std::invalid_argument);
-  EXPECT_NO_THROW((void)SpecBuilder().mtu(21).build());
-  EXPECT_NO_THROW((void)SpecBuilder().mtu(0).build());  // off
+  const auto with_mtu = [](std::size_t mtu) {
+    return validated([mtu](ExperimentSpec& s) { s.mtu = mtu; });
+  };
+  EXPECT_THROW((void)with_mtu(20), std::invalid_argument);
+  EXPECT_THROW((void)with_mtu(12), std::invalid_argument);
+  EXPECT_THROW((void)with_mtu(70000), std::invalid_argument);
+  EXPECT_NO_THROW((void)with_mtu(21));
+  EXPECT_NO_THROW((void)with_mtu(0));  // off
 
   // Zero-rate buckets: a burst without a rate would never drain.
-  EXPECT_THROW((void)SpecBuilder().bandwidth(0, 1000).build(),
+  EXPECT_THROW((void)validated([](ExperimentSpec& s) {
+                 s.bandwidth_bps = 0;
+                 s.bandwidth_burst = 1000;
+               }),
                std::invalid_argument);
   EXPECT_THROW((void)ExperimentSpec::parse("bandwidth=0"),
                std::invalid_argument);
@@ -313,10 +386,18 @@ TEST(ExperimentSpec, PacketValidationRejectsBadGeometry) {
                std::invalid_argument);
 
   // FEC without fragmentation has nothing to repair.
-  EXPECT_THROW((void)SpecBuilder().fec(2).build(), std::invalid_argument);
-  EXPECT_THROW((void)SpecBuilder().mtu(256).fec(0, -0.5).build(),
+  EXPECT_THROW((void)validated([](ExperimentSpec& s) { s.fec_repair = 2; }),
                std::invalid_argument);
-  EXPECT_NO_THROW((void)SpecBuilder().mtu(256).fec(2).build());
+  EXPECT_THROW((void)validated([](ExperimentSpec& s) {
+                 s.mtu = 256;
+                 s.fec_repair = 0;
+                 s.fec_rate = -0.5;
+               }),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)validated([](ExperimentSpec& s) {
+    s.mtu = 256;
+    s.fec_repair = 2;
+  }));
 
   // Malformed values and unknown subkeys fail loudly.
   EXPECT_THROW((void)ExperimentSpec::parse("mtu=abc"),
@@ -385,14 +466,10 @@ TEST(Experiment, ReproducesHandBuiltWorldBitForBit) {
   }
 
   // Declarative.
-  Experiment experiment(SpecBuilder()
-                            .protocol("croupier:alpha=10,gamma=25")
-                            .nodes(50)
-                            .ratio(0.2)
-                            .duration(20)
-                            .record_estimation()
-                            .build(),
-                        seed);
+  Experiment experiment(
+      ExperimentSpec::parse("protocol=croupier:alpha=10,gamma=25 nodes=50 "
+                            "ratio=0.2 duration=20 record=estimation"),
+      seed);
   experiment.run();
   const auto& spec_series = experiment.estimation()->series();
 
@@ -407,16 +484,11 @@ TEST(Experiment, ReproducesHandBuiltWorldBitForBit) {
 }
 
 TEST(Experiment, ChurnReplacesNodesAndKeepsPopulation) {
-  Experiment experiment(SpecBuilder()
-                            .protocol("croupier")
-                            .nodes(60)
-                            .ratio(0.2)
-                            .instant_joins()
-                            .churn(0.05, 5)
-                            .duration(30)
-                            .record_nothing()
-                            .build(),
-                        7);
+  Experiment experiment(
+      ExperimentSpec::parse("protocol=croupier nodes=60 ratio=0.2 "
+                            "join=instant churn=0.05 churn-at=5 duration=30 "
+                            "record=none"),
+      7);
   experiment.run();
   EXPECT_EQ(experiment.world().alive_count(), 60u);
   // 5%/round for ~25 rounds must have replaced a noticeable share: the
@@ -429,32 +501,21 @@ TEST(Experiment, ChurnReplacesNodesAndKeepsPopulation) {
 }
 
 TEST(Experiment, CatastropheKillsTheRequestedFraction) {
-  Experiment experiment(SpecBuilder()
-                            .protocol("croupier")
-                            .nodes(100)
-                            .ratio(0.2)
-                            .instant_joins()
-                            .catastrophe(0.6, 10)
-                            .duration(10.001)
-                            .record_nothing()
-                            .build(),
-                        3);
+  Experiment experiment(
+      ExperimentSpec::parse("protocol=croupier nodes=100 ratio=0.2 "
+                            "join=instant catastrophe=0.6 catastrophe-at=10 "
+                            "duration=10.001 record=none"),
+      3);
   experiment.run();
   EXPECT_EQ(experiment.world().alive_count(), 40u);
 }
 
 TEST(Experiment, CorrelatedFailureKillsTheRequestedFraction) {
-  Experiment experiment(SpecBuilder()
-                            .protocol("croupier")
-                            .nodes(100)
-                            .ratio(0.2)
-                            .instant_joins()
-                            .correlated_failure(
-                                0.6, 10, ExperimentSpec::FailureCorr::Region)
-                            .duration(10.001)
-                            .record_nothing()
-                            .build(),
-                        3);
+  Experiment experiment(
+      ExperimentSpec::parse("protocol=croupier nodes=100 ratio=0.2 "
+                            "join=instant failure=at:10,frac:0.6,corr:region "
+                            "duration=10.001 record=none"),
+      3);
   experiment.run();
   EXPECT_EQ(experiment.world().alive_count(), 40u);
   EXPECT_EQ(experiment.scenario_stats().killed, 60u);
@@ -463,49 +524,32 @@ TEST(Experiment, CorrelatedFailureKillsTheRequestedFraction) {
 TEST(Experiment, ClassBiasedFailureSparesTheOtherClassUntilExhausted) {
   // 20 publics / 80 privates; a private-biased kill of 40% (40 nodes)
   // fits inside the private class, so every public survives.
-  Experiment spare(SpecBuilder()
-                       .protocol("croupier")
-                       .nodes(100)
-                       .ratio(0.2)
-                       .instant_joins()
-                       .correlated_failure(
-                           0.4, 10, ExperimentSpec::FailureCorr::Private)
-                       .duration(10.001)
-                       .record_nothing()
-                       .build(),
-                   7);
+  Experiment spare(
+      ExperimentSpec::parse("protocol=croupier nodes=100 ratio=0.2 "
+                            "join=instant failure=at:10,frac:0.4,corr:private "
+                            "duration=10.001 record=none"),
+      7);
   spare.run();
   EXPECT_EQ(spare.world().alive_count(), 60u);
   EXPECT_EQ(spare.world().count(net::NatType::Public), 20u);
 
   // A public-biased kill of 40% (40 nodes) exhausts the 20 publics and
   // spills the remaining quota into the privates.
-  Experiment spill(SpecBuilder()
-                       .protocol("croupier")
-                       .nodes(100)
-                       .ratio(0.2)
-                       .instant_joins()
-                       .correlated_failure(
-                           0.4, 10, ExperimentSpec::FailureCorr::Public)
-                       .duration(10.001)
-                       .record_nothing()
-                       .build(),
-                   7);
+  Experiment spill(
+      ExperimentSpec::parse("protocol=croupier nodes=100 ratio=0.2 "
+                            "join=instant failure=at:10,frac:0.4,corr:public "
+                            "duration=10.001 record=none"),
+      7);
   spill.run();
   EXPECT_EQ(spill.world().alive_count(), 60u);
   EXPECT_EQ(spill.world().count(net::NatType::Public), 0u);
 }
 
 TEST(Experiment, GraphRecordingProducesSeries) {
-  Experiment experiment(SpecBuilder()
-                            .protocol("cyclon")
-                            .nodes(40)
-                            .ratio(1.0)
-                            .instant_joins()
-                            .duration(21)
-                            .record_graph(5)
-                            .build(),
-                        11);
+  Experiment experiment(
+      ExperimentSpec::parse("protocol=cyclon nodes=40 ratio=1 join=instant "
+                            "duration=21 record=graph record-every=5"),
+      11);
   experiment.run();
   ASSERT_NE(experiment.graph_stats(), nullptr);
   EXPECT_EQ(experiment.estimation(), nullptr);
@@ -514,11 +558,12 @@ TEST(Experiment, GraphRecordingProducesSeries) {
 }
 
 TEST(ExperimentSpec, GraphSampledRoundTrips) {
-  const auto spec = SpecBuilder()
-                        .protocol("cyclon")
-                        .nodes(500)
-                        .record_graph_sampled(7.5)
-                        .build();
+  const auto spec = validated([](ExperimentSpec& s) {
+    s.protocol = "cyclon";
+    s.nodes = 500;
+    s.record = ExperimentSpec::RecordKind::GraphSampled;
+    s.record_every_s = 7.5;
+  });
   const auto text = spec.to_string();
   EXPECT_NE(text.find("record=graph-sampled"), std::string::npos) << text;
   EXPECT_EQ(ExperimentSpec::parse(text), spec) << text;
@@ -528,15 +573,10 @@ TEST(ExperimentSpec, GraphSampledRoundTrips) {
 }
 
 TEST(Experiment, GraphSampledRecordingProducesSeries) {
-  Experiment experiment(SpecBuilder()
-                            .protocol("cyclon")
-                            .nodes(40)
-                            .ratio(1.0)
-                            .instant_joins()
-                            .duration(21)
-                            .record_graph_sampled(5)
-                            .build(),
-                        11);
+  Experiment experiment(
+      ExperimentSpec::parse("protocol=cyclon nodes=40 ratio=1 join=instant "
+                            "duration=21 record=graph-sampled record-every=5"),
+      11);
   experiment.run();
   ASSERT_NE(experiment.graph_sampled(), nullptr);
   EXPECT_EQ(experiment.graph_stats(), nullptr);

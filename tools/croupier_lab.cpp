@@ -22,7 +22,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -168,50 +167,8 @@ std::vector<run::ExperimentSpec> build_specs(const LabFlags& flags) {
   return specs;
 }
 
-/// One finished trial: its recorder's columns, the network's drop
-/// counters and the trial's wall-clock seconds.
-struct Trial {
-  std::span<const run::Column> columns;
-  run::ColumnTable table;
-  net::Network::DropStats drops;
-  double seconds = 0.0;
-};
-
-/// Streaming aggregation of one sweep point (the lab's twin of
-/// bench::SeriesFold, for any record kind): each finished trial folds
-/// into per-column Welford accumulators and is freed. The wall-clock,
-/// memory and drop totals are reported on stderr only, so the
-/// determinism gate (which byte-compares stdout and CSV across --jobs /
-/// --world-jobs) never sees them.
-struct PointFold {
-  std::span<const run::Column> columns;
-  std::vector<double> t;  // grid of the first non-empty run
-  std::vector<exp::SeriesAccum> values;
-  exp::Accum seconds;
-  double max_seconds = 0.0;
-  std::uint64_t max_rss = 0;  // resident set observed at fold time
-  net::Network::DropStats drops;  // summed across the point's trials
-
-  void add(const Trial& trial) {
-    columns = trial.columns;
-    if (t.empty()) t = trial.table.t;
-    values.resize(trial.table.values.size());
-    for (std::size_t c = 0; c < values.size(); ++c) {
-      values[c].add(trial.table.values[c]);
-    }
-    seconds.add(trial.seconds);
-    max_seconds = std::max(max_seconds, trial.seconds);
-    // Sampled when the trial folds. Trials of different points
-    // interleave under --jobs, so this is an upper bound on the point's
-    // own footprint — tight when points run alone, still the number
-    // that answers "did this sweep fit in memory".
-    max_rss = std::max(max_rss, exp::current_rss_bytes());
-    drops += trial.drops;
-  }
-};
-
 void report_timing(const std::vector<std::string>& labels,
-                   const std::vector<PointFold>& folds,
+                   const std::vector<bench::PointFold>& folds,
                    const bench::BenchArgs& args, double elapsed) {
   const std::size_t shards = std::max<std::size_t>(1, args.world_jobs);
   for (std::size_t p = 0; p < labels.size(); ++p) {
@@ -241,37 +198,6 @@ void report_timing(const std::vector<std::string>& labels,
                elapsed,
                static_cast<double>(exp::peak_rss_bytes()) /
                    (1024.0 * 1024.0));
-}
-
-/// Prints one sweep point: a series block per column, then the summary
-/// line and values of every column with a summary rule.
-void emit(exp::ResultSink& sink, const std::string& label,
-          const PointFold& fold, std::size_t n_runs) {
-  const std::size_t len = fold.values.empty() ? 0 : fold.values[0].size();
-  const std::vector<double> t(
-      fold.t.begin(), fold.t.begin() + static_cast<std::ptrdiff_t>(len));
-  const std::string block = "summary " + label;
-  std::string line = block + ":";
-  std::vector<std::pair<std::string, double>> summaries;
-  for (std::size_t c = 0; c < fold.columns.size(); ++c) {
-    const run::Column& column = fold.columns[c];
-    const std::vector<double> means = fold.values[c].means();
-    bench::emit_series(sink, label + " " + column.name, t, means,
-                       fold.values[c].stddevs(), n_runs, "%.0f",
-                       column.format);
-    if (column.summary == run::Summary::None) continue;
-    const bool steady = column.summary == run::Summary::SteadyMean;
-    const double value = steady          ? bench::steady_state(means)
-                         : means.empty() ? 0.0
-                                         : means.back();
-    const std::string key =
-        std::string(steady ? "steady " : "final ") + column.summary_name;
-    line += " " + key + "=" + exp::strf(column.summary_format, value);
-    summaries.emplace_back(key, value);
-  }
-  sink.comment(line);
-  sink.blank();
-  for (const auto& [key, value] : summaries) sink.value(block, key, value);
 }
 
 }  // namespace
@@ -335,32 +261,13 @@ int main(int argc, char** argv) {
   // detlint:allow(wallclock) sweep wall-clock for the stderr timing
   // report only; the sink output carries no wall-clock bytes.
   const auto sweep_start = std::chrono::steady_clock::now();
-  std::vector<PointFold> folds(specs.size());
-  // Trials fold into their point in grid order, so the output is
-  // byte-identical for every --jobs.
-  pool.map_fold(
-      specs.size() * args.runs,
-      [&](std::size_t i) {
-        const std::size_t p = i / args.runs;
-        const std::size_t r = i % args.runs;
-        // detlint:allow(wallclock) per-trial timing, reported on stderr
-        // only (report_timing) — never reaches the result sink.
-        const auto start = std::chrono::steady_clock::now();
-        run::Experiment experiment(specs[p], exp::trial_seed(args.seed, p, r),
-                                   args.world_jobs);
-        experiment.run();
-        const run::Recorder& recorder = *experiment.recorder();
-        Trial trial{recorder.columns(), recorder.table(),
-                    experiment.world().network().drops()};
-        // detlint:allow(wallclock) stderr-only timing, as above.
-        const auto trial_end = std::chrono::steady_clock::now();
-        trial.seconds =
-            std::chrono::duration<double>(trial_end - start).count();
-        return trial;
-      },
-      [&](std::size_t i, Trial&& trial) { folds[i / args.runs].add(trial); });
+  const auto folds = bench::run_sweep(pool, args, specs);
   for (std::size_t p = 0; p < specs.size(); ++p) {
-    emit(sink, labels[p], folds[p], args.runs);
+    std::vector<std::string> names;
+    for (const auto& column : folds[p].columns) {
+      names.push_back(labels[p] + " " + column.name);
+    }
+    bench::emit(sink, folds[p], names, "summary " + labels[p], args.runs);
   }
   // detlint:allow(wallclock) stderr-only timing report, as above.
   const auto sweep_end = std::chrono::steady_clock::now();

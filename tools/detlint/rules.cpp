@@ -86,6 +86,35 @@ std::string read_ident(const std::string& s, std::size_t i,
   return s.substr(i, j - i);
 }
 
+/// Steps back from j (exclusive) over whitespace, not below `floor`.
+std::size_t skip_ws_back(const std::string& s, std::size_t floor,
+                         std::size_t j) {
+  while (j > floor && std::isspace(static_cast<unsigned char>(s[j - 1]))) {
+    --j;
+  }
+  return j;
+}
+
+/// When s[j - 1] closes a balanced `<...>` holding no parentheses,
+/// braces or ';' (a template argument list, not a comparison), returns
+/// the offset just before its '<' with whitespace skipped; else j.
+std::size_t skip_template_args(const std::string& s, std::size_t floor,
+                               std::size_t j) {
+  if (j <= floor || s[j - 1] != '>') return j;
+  int depth = 0;
+  for (std::size_t i = j; i > floor; --i) {
+    const char c = s[i - 1];
+    if (c == '>') {
+      ++depth;
+    } else if (c == '<') {
+      if (--depth == 0) return skip_ws_back(s, floor, i - 1);
+    } else if (c == '(' || c == ')' || c == '{' || c == '}' || c == ';') {
+      return j;
+    }
+  }
+  return j;
+}
+
 /// Reads the identifier that *ends* at j (exclusive), walking backwards.
 std::string ident_ending_at(const std::string& s, std::size_t j) {
   std::size_t b = j;
@@ -573,11 +602,7 @@ void extract_functions(FileScan& fs) {
   for (std::size_t i = 0; i < code.size(); ++i) {
     if (code[i] != '(') continue;
     // Identifier directly before '(' — candidate function name.
-    std::size_t b = i;
-    while (b > 0 && std::isspace(static_cast<unsigned char>(code[b - 1]))) {
-      --b;
-    }
-    const std::string name = ident_ending_at(code, b);
+    const std::string name = ident_ending_at(code, skip_ws_back(code, 0, i));
     if (name.empty() || cpp_keywords().count(name) != 0) continue;
     const std::size_t close = match_balanced(code, i);
     if (close == std::string::npos) continue;
@@ -622,14 +647,12 @@ void extract_functions(FileScan& fs) {
     def.line = line_at(fs, i);
     def.body_begin = p;
     def.body_end = body_end;
-    // Call sites: identifiers immediately before '(' in the body.
+    // Call sites: identifiers immediately before '(' in the body, or
+    // before the explicit template arguments of `callee<Args>(`.
     for (std::size_t j = p; j < body_end; ++j) {
       if (code[j] != '(') continue;
-      std::size_t cb = j;
-      while (cb > p &&
-             std::isspace(static_cast<unsigned char>(code[cb - 1]))) {
-        --cb;
-      }
+      const std::size_t cb =
+          skip_template_args(code, p, skip_ws_back(code, p, j));
       const std::string callee = ident_ending_at(code, cb);
       if (!callee.empty() && cpp_keywords().count(callee) == 0 &&
           callee != name) {
@@ -650,7 +673,7 @@ bool is_output_root(const FileScan& fs, const FunctionDef& def) {
   for (const std::string& m : kOutputFiles) {
     if (fs.path.find(m) != std::string::npos) return true;
   }
-  if (def.name.rfind("emit_", 0) == 0 || def.name == "write_csv") {
+  if (def.name.rfind("emit_", 0) == 0) {
     return true;
   }
   // Writes through a ResultSink or stdout directly.
