@@ -60,6 +60,7 @@
 #include "runtime/registry.hpp"
 #include "runtime/spec.hpp"
 #include "runtime/world.hpp"
+#include "sim/parallel_executor.hpp"
 
 namespace croupier::bench {
 
@@ -271,11 +272,13 @@ auto run_trial_grid(exp::TrialPool& pool, const BenchArgs& args,
 }
 
 /// One finished trial: its recorder's columns, the network's drop
-/// counters and the trial's wall-clock seconds.
+/// counters, the parallel engine's counters (zero under the sequential
+/// engine) and the trial's wall-clock seconds.
 struct Trial {
   std::span<const run::Column> columns;
   run::ColumnTable table;
   net::Network::DropStats drops;
+  sim::ParallelExecutor::Stats engine;
   double seconds = 0.0;
 };
 
@@ -293,6 +296,7 @@ struct PointFold {
   double max_seconds = 0.0;
   std::uint64_t max_rss = 0;  // resident set observed at fold time
   net::Network::DropStats drops;  // summed across the point's trials
+  sim::ParallelExecutor::Stats engine;  // summed across the point's trials
 
   void add(const Trial& trial) {
     columns = trial.columns;
@@ -309,6 +313,7 @@ struct PointFold {
     // that answers "did this sweep fit in memory".
     max_rss = std::max(max_rss, exp::current_rss_bytes());
     drops += trial.drops;
+    engine += trial.engine;
   }
 
   /// Sample times, cut to the shortest run.
@@ -346,7 +351,10 @@ inline std::vector<PointFold> run_sweep(
         experiment.run();
         const run::Recorder& recorder = *experiment.recorder();
         Trial trial{recorder.columns(), recorder.table(),
-                    experiment.world().network().drops()};
+                    experiment.world().network().drops(), {}};
+        if (const auto* engine = experiment.world().engine_stats()) {
+          trial.engine = *engine;
+        }
         if (extra) extra(experiment, trial.table);
         // detlint:allow(wallclock) stderr-only timing, as above.
         const auto end = std::chrono::steady_clock::now();

@@ -4,13 +4,14 @@
 #  - trial-level (--jobs): the TrialPool contract — results are folded in
 #    submission order, so worker count can never show up in the output;
 #  - world-level (--world-jobs): the round-synchronous parallel engine
-#    contract — events are sharded by node and their effects merged in
+#    contract — events are bucketed by node and their effects replayed in
 #    (time, seq) order, so the engine is byte-identical to the sequential
 #    one.
 #
 # Every figure bench must produce byte-identical stdout AND --csv output
 # for (--jobs=1 --world-jobs=1), (--jobs=4 --world-jobs=1) and
-# (--jobs=4 --world-jobs=4). croupier-lab additionally must reproduce
+# (--jobs=4 --world-jobs=4); croupier-lab's fig1 and packet sweeps also
+# under --world-jobs=3. croupier-lab additionally must reproduce
 # fig1's and fig5's series rows byte for byte (the PR-3 API-redesign
 # acceptance; fig5 adds churn).
 #
@@ -69,10 +70,14 @@ if [ -x "$LAB" ]; then
   run_config "$LAB" "lab.j1" "${lab_flags[@]}" --jobs=1 --world-jobs=1
   run_config "$LAB" "lab.j4" "${lab_flags[@]}" --jobs=4 --world-jobs=1
   run_config "$LAB" "lab.w4" "${lab_flags[@]}" --jobs=4 --world-jobs=4
+  # Three workers do not divide the engine's bucket count, so buckets
+  # are claimed unevenly.
+  run_config "$LAB" "lab.w3" "${lab_flags[@]}" --jobs=4 --world-jobs=3
   ok=1
   check_same "croupier-lab" "lab.j1" "lab.j4" || ok=0
   check_same "croupier-lab" "lab.j1" "lab.w4" || ok=0
-  [ "$ok" = 1 ] && echo "ok   croupier-lab (jobs 1/4, world-jobs 1/4)"
+  check_same "croupier-lab" "lab.j1" "lab.w3" || ok=0
+  [ "$ok" = 1 ] && echo "ok   croupier-lab (jobs 1/4, world-jobs 1/3/4)"
 
   "$BUILD_DIR/bench/fig1_stable_ratio" --fast --runs=2 --jobs=4 \
     2>/dev/null | grep -E '^[0-9]' >"$TMP/fig1.rows"
@@ -131,11 +136,13 @@ if [ -x "$LAB" ]; then
   run_config "$LAB" "pkt.j1" "${packet_flags[@]}" --jobs=1 --world-jobs=1
   run_config "$LAB" "pkt.j4" "${packet_flags[@]}" --jobs=4 --world-jobs=1
   run_config "$LAB" "pkt.w4" "${packet_flags[@]}" --jobs=4 --world-jobs=4
+  run_config "$LAB" "pkt.w3" "${packet_flags[@]}" --jobs=4 --world-jobs=3
   ok=1
   check_same "croupier-lab-packet" "pkt.j1" "pkt.j4" || ok=0
   check_same "croupier-lab-packet" "pkt.j1" "pkt.w4" || ok=0
+  check_same "croupier-lab-packet" "pkt.j1" "pkt.w3" || ok=0
   [ "$ok" = 1 ] && \
-    echo "ok   croupier-lab packet mtu/fec/bandwidth (jobs 1/4, world-jobs 1/4)"
+    echo "ok   croupier-lab packet mtu/fec/bandwidth (jobs 1/4, world-jobs 1/3/4)"
 
   # The PR-9 randomness audit + adversarial processes — eclipse respawn,
   # NAT flapping through World::reclassify, the hub adversary shim — all

@@ -3,16 +3,16 @@
 // The parallel engine's byte-identity contract rests on a convention the
 // type system cannot see: a node-affine event handler may only mutate
 // state owned by its own node; every cross-node effect must route
-// through Simulator::defer so the serial merge replays it in the
+// through Simulator::defer so the serial replay runs it in the
 // sequential order. detlint bans the *constructs* that violate this;
 // the conflict checker catches the *executions*. It is a determinism-
 // specific race detector: two same-batch writes to the same node's state
-// from different shards are data-race-free under TSan (the batch barrier
+// from events of different nodes are data-race-free under TSan (the batch barrier
 // orders them), yet their relative order is a scheduling accident — the
 // exact class of bug TSan calls clean and a twin run only catches if the
 // orders happen to diverge.
 //
-// Mechanics: ParallelExecutor::run_shard brackets every batched event
+// Mechanics: ParallelExecutor::run_buckets brackets every batched event
 // with begin_shard_event(affinity)/end_shard_event (thread-local, no
 // synchronization). Mutation paths of per-node state — a node's NAT box
 // and reassembly buffers in the Network, a protocol's PartialView, the

@@ -28,7 +28,7 @@ namespace croupier::sim {
 using EventId = std::uint64_t;
 
 /// Returned by schedule calls made from inside a parallel batch, where the
-/// real id is only assigned at the deterministic merge. Never a live id.
+/// real id is only assigned at the deterministic replay. Never a live id.
 constexpr EventId kInvalidEventId = 0;
 
 /// Which node's state an event touches. kSerialAffinity marks events that

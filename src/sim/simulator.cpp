@@ -35,19 +35,18 @@ EventId Simulator::schedule_impl(SimTime at, Affinity affinity,
                                  EventQueue::Callback fn, bool check_past) {
   if (ShardLog* log = active_log()) {
     // Parallel batch: the queue is shared, so the schedule itself becomes
-    // a deferred effect. Re-entering schedule_impl at merge time (the log
+    // a deferred effect. Re-entering schedule_impl at replay time (the log
     // is inactive there) repeats the serial-path checks.
-    log->ops.push_back(DeferredOp{
-        log->current_time, log->current_id,
+    log->ops.emplace_back(
         [this, at, affinity, fn = std::move(fn), check_past]() mutable {
           schedule_impl(at, affinity, std::move(fn), check_past);
-        }});
+        });
     return kInvalidEventId;
   }
   if (check_past) {
     CROUPIER_ASSERT_MSG(at >= now_, "cannot schedule into the past");
   }
-  // While merging a parallel batch, every deferred schedule must land at
+  // While replaying a parallel batch, every deferred schedule must land at
   // or beyond the lookahead window end; a violation means a latency model
   // undercut its declared min_latency() and the batch was not causally
   // closed.
@@ -64,8 +63,7 @@ bool Simulator::cancel(EventId id) {
 
 void Simulator::defer(EventQueue::Callback effect) {
   if (ShardLog* log = active_log()) {
-    log->ops.push_back(
-        DeferredOp{log->current_time, log->current_id, std::move(effect)});
+    log->ops.push_back(std::move(effect));
     return;
   }
   effect();

@@ -18,9 +18,9 @@
 // shared across nodes (the network RNG, traffic meters, the event queue
 // itself) must go through defer(fn). Outside a parallel batch defer runs
 // the effect immediately — the classic path is unchanged — while inside a
-// batch it is logged per worker and applied at the deterministic merge.
+// batch it is logged per thread and applied at the deterministic replay.
 // Scheduling calls made during a batch are deferred the same way and
-// return kInvalidEventId (the real id is assigned at the merge; callbacks
+// return kInvalidEventId (the real id is assigned at the replay; callbacks
 // that need to cancel must be serial-affinity, like the NAT-ID timeout).
 #pragma once
 
@@ -96,23 +96,14 @@ class Simulator {
  private:
   friend class ParallelExecutor;
 
-  /// One deferred effect, tagged with the (time, id) of the event that
-  /// issued it so the merge can replay effects in sequential order.
-  struct DeferredOp {
-    SimTime time;
-    EventId id;
-    EventQueue::Callback fn;
-  };
-
-  /// Per-worker execution log for one parallel batch. While a worker
-  /// drains its shard, tls_log_ points at its log; current_time/
-  /// current_id track the event being executed.
-  struct ShardLog {
+  /// One thread's log for one parallel batch: while it runs events,
+  /// tls_log_ points here and current_time is the running event's time.
+  /// ops are the deferred effects in issue order; the executor replays
+  /// each event's range of them in batch (time, seq) order.
+  struct alignas(64) ShardLog {
     Simulator* owner = nullptr;
     SimTime current_time = 0;
-    EventId current_id = 0;
-    std::uint64_t executed = 0;
-    std::vector<DeferredOp> ops;
+    std::vector<EventQueue::Callback> ops;
   };
 
   /// The calling thread's active shard log for *this* simulator, or
@@ -133,7 +124,7 @@ class Simulator {
   EventQueue queue_;
   SimTime now_ = 0;
   std::uint64_t processed_ = 0;
-  /// During a parallel merge: no deferred schedule may target a time
+  /// During a parallel replay: no deferred schedule may target a time
   /// before this (causality guard for the lookahead window). 0 = off.
   SimTime causal_floor_ = 0;
 };

@@ -13,8 +13,13 @@
 // Registered with the `thread` ctest label so CI's ThreadSanitizer job
 // also runs the executor's worker handoff under TSan.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <chrono>
 #include <cstdint>
+#include <functional>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "runtime/spec.hpp"
@@ -81,6 +86,104 @@ TEST(ParallelExecutorEngine, SameTimestampEventsMergeInScheduleOrder) {
     EXPECT_EQ(sim.events_processed(), 8u);
     EXPECT_EQ(sim.now(), 200u);
   }
+}
+
+/// What a skewed batch run leaves behind: every deferred effect in replay
+/// order, and each node's own inline event order.
+struct SkewLog {
+  std::vector<std::pair<sim::SimTime, int>> effects;
+  std::vector<std::vector<int>> per_node;
+  std::uint64_t events = 0;
+
+  bool operator==(const SkewLog&) const = default;
+};
+
+/// Node 1 owns two thirds of every batch; nodes 2..21 own the rest. Each
+/// event appends to its node's own state inline, defers two effects and
+/// schedules a follow-up two windows later, so every batch replays
+/// schedules whose ids decide the next batch's tie order.
+SkewLog run_skewed(std::size_t jobs) {
+  constexpr int kNodes = 21;
+  constexpr int kGenerations = 6;
+  sim::Simulator sim;
+  SkewLog log;
+  log.per_node.resize(kNodes + 1);
+  std::function<void(sim::Affinity, int, int)> fire =
+      [&](sim::Affinity node, int tag, int generation) {
+        log.per_node[node].push_back(tag);
+        sim.defer([&log, &sim, tag] {
+          log.effects.emplace_back(sim.now(), tag);
+        });
+        sim.defer([&log, &sim, tag] {
+          log.effects.emplace_back(sim.now(), -tag);
+        });
+        if (generation + 1 < kGenerations) {
+          sim.schedule_after(sim::msec(2), node,
+                             [&fire, node, tag, generation] {
+                               fire(node, tag + 1000, generation + 1);
+                             });
+        }
+      };
+  int tag = 0;
+  for (int i = 0; i < 40; ++i) {
+    // Same-time pairs and a spread inside one 1 ms window.
+    sim.schedule_at(100 + i / 2, 1, [&fire, t = ++tag] { fire(1, t, 0); });
+  }
+  for (int node = 2; node <= kNodes; ++node) {
+    sim.schedule_at(100 + node, static_cast<sim::Affinity>(node),
+                    [&fire, node, t = ++tag] {
+                      fire(static_cast<sim::Affinity>(node), t, 0);
+                    });
+  }
+  if (jobs == 0) {
+    sim.run_until(sim::msec(20));
+  } else {
+    sim::ParallelExecutor engine(sim, {jobs, sim::msec(1)});
+    engine.run_until(sim::msec(20));
+    EXPECT_GT(engine.stats().batches, 0u);
+    EXPECT_GE(engine.stats().max_batch, 60u);
+  }
+  log.events = sim.events_processed();
+  return log;
+}
+
+TEST(ParallelExecutorEngine, SkewedBatchKeepsPerNodeOrder) {
+  // One node owning most of a batch is the worst case for balancing work
+  // across workers: its events must still run in (time, id) order on one
+  // worker, and every deferred effect must replay in sequential order.
+  const SkewLog sequential = run_skewed(0);
+  ASSERT_EQ(sequential.events, 60u * 6u);
+  ASSERT_EQ(sequential.per_node[1].size(), 40u * 6u);
+  for (std::size_t jobs : {1u, 2u, 3u, 4u, 8u}) {
+    EXPECT_TRUE(run_skewed(jobs) == sequential) << "jobs=" << jobs;
+  }
+}
+
+TEST(ParallelExecutorEngine, IdleWorkersPark) {
+  // Between run_until calls the workers must block, not spin: a trial
+  // pool hands their cores to other trials.
+  sim::Simulator sim;
+  int effects = 0;
+  for (int i = 0; i < 64; ++i) {
+    sim.schedule_at(100 + i, static_cast<sim::Affinity>(i + 1),
+                    [&sim, &effects] { sim.defer([&effects] { ++effects; }); });
+  }
+  sim::ParallelExecutor engine(sim, {4, sim::msec(1)});
+  engine.run_until(sim::msec(5));
+  ASSERT_EQ(effects, 64);
+
+  const auto cpu_seconds = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    const auto secs = [](const timeval& tv) {
+      return static_cast<double>(tv.tv_sec) +
+             static_cast<double>(tv.tv_usec) * 1e-6;
+    };
+    return secs(usage.ru_utime) + secs(usage.ru_stime);
+  };
+  const double before = cpu_seconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_LT(cpu_seconds() - before, 0.020);
 }
 
 /// Everything observable about one finished experiment, for exact

@@ -19,6 +19,7 @@
 // (point p, run r) is exp::trial_seed(seed, p, r) — invoking croupier-lab
 // with fig1's three (alpha,gamma) specs reproduces fig1's series
 // byte-for-byte at the same --seed/--runs.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -58,9 +59,10 @@ constexpr const char* kUsageTail =
     "  --print-spec               print canonical spec strings and exit\n"
     "\n"
     "Per sweep point, elapsed wall-clock, the effective parallelism\n"
-    "(concurrent trials x world shards), and resident memory are\n"
-    "reported on stderr, so speedups and footprints are observable\n"
-    "without external tooling.\n";
+    "(concurrent trials x world shards), resident memory and, under\n"
+    "--world-jobs>1, the engine's batches and phase times are reported\n"
+    "on stderr, so speedups and footprints are observable without\n"
+    "external tooling.\n";
 
 void print_usage() {
   std::fputs(kUsageHead, stdout);
@@ -171,15 +173,30 @@ void report_timing(const std::vector<std::string>& labels,
                    const std::vector<bench::PointFold>& folds,
                    const bench::BenchArgs& args, double elapsed) {
   const std::size_t shards = std::max<std::size_t>(1, args.world_jobs);
+  // The pool never runs more trials at once than the sweep has.
+  const std::size_t trials = labels.size() * args.runs;
+  const std::size_t concurrent = std::min(args.trial_jobs(), trials);
   for (std::size_t p = 0; p < labels.size(); ++p) {
     const auto& d = folds[p].drops;
+    std::string engine;
+    if (shards > 1) {
+      const auto& e = folds[p].engine;
+      engine = exp::strf(
+          " engine=batches:%llu,mean-batch:%.1f,drain:%.3fs,execute:%.3fs,"
+          "wait:%.3fs,replay:%.3fs",
+          static_cast<unsigned long long>(e.batches),
+          e.batches > 0 ? static_cast<double>(e.batched_events) /
+                              static_cast<double>(e.batches)
+                        : 0.0,
+          e.drain_s, e.execute_s, e.wait_s, e.replay_s);
+    }
     std::fprintf(stderr,
                  "# timing %s: trials=%zu wall-sum=%.2fs wall-max=%.2fs "
                  "rss-max=%.1fMiB "
                  "drop-bytes=loss:%llu,nat:%llu,dead:%llu "
                  "frags=sent:%llu,lost:%llu,reassembled:%llu,expired:%llu "
                  "effective-parallelism=%zu "
-                 "(%zu trials x %zu world shards)\n",
+                 "(%zu of %zu trials at once x %zu world shards)%s\n",
                  labels[p].c_str(), folds[p].seconds.n(),
                  folds[p].seconds.mean() *
                      static_cast<double>(folds[p].seconds.n()),
@@ -192,7 +209,8 @@ void report_timing(const std::vector<std::string>& labels,
                  static_cast<unsigned long long>(d.fragments_lost),
                  static_cast<unsigned long long>(d.fragments_reassembled),
                  static_cast<unsigned long long>(d.fragments_expired),
-                 args.trial_jobs() * shards, args.trial_jobs(), shards);
+                 concurrent * shards, concurrent, trials, shards,
+                 engine.c_str());
   }
   std::fprintf(stderr, "# timing total: elapsed=%.2fs peak-rss=%.1fMiB\n",
                elapsed,
