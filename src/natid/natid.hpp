@@ -138,8 +138,8 @@ class NatIdClient {
   bool started_ = false;
   bool finished_ = false;
   std::optional<net::NatType> result_;
-  std::optional<sim::EventId> timeout_event_;
   // Guards the timeout closure against the client being destroyed first.
+  // A timeout that fires after finish() is a no-op.
   std::shared_ptr<bool> alive_flag_;
 };
 

@@ -305,18 +305,18 @@ void Network::deliver_fragment(NodeId from, NodeId to, MessagePtr msg,
              .emplace(frag.header.msg_id,
                       Assembly{FragmentAssembly(frag.header), msg})
              .first;
-    // One GC event per entry, armed at first-fragment arrival. Never
-    // cancelled (cancel() is off-limits inside parallel batches): if the
-    // message completes first, the entry sits inert — suppressing late
-    // duplicates — until the timeout sweeps it.
+    // One GC event per entry, armed at first-fragment arrival (events
+    // cannot be cancelled): if the message completes first, the entry
+    // sits inert — suppressing late duplicates — until the timeout
+    // sweeps it.
     const std::uint64_t msg_id = frag.header.msg_id;
     const sim::Affinity affinity = delivery_affinity_
                                        ? delivery_affinity_(to, *msg)
                                        : sim::kSerialAffinity;
-    // detlint:allow(naked-schedule) the GC arm discards the EventId and
-    // is deliberately un-guarded: schedule_impl auto-defers it when this
-    // delivery runs inside a parallel batch, and the event is harmless
-    // to replay late (expire_assembly tolerates a completed entry).
+    // detlint:allow(naked-schedule) the GC arm is deliberately
+    // un-guarded: schedule_impl auto-defers it when this delivery runs
+    // inside a parallel batch, and the event is harmless to replay late
+    // (expire_assembly tolerates a completed entry).
     simulator_.schedule_after(
         packet_.reassembly_timeout, affinity,
         [this, to, msg_id] { expire_assembly(to, msg_id); });

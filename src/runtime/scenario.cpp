@@ -10,56 +10,7 @@
 
 namespace croupier::run {
 
-namespace detail {
-
-// Shared state for a recursive join process. Events hold it by
-// shared_ptr, so a fire-and-forget chain (the free functions) and a
-// stoppable JoinProcess handle run the exact same code.
-struct JoinState {
-  std::size_t remaining;
-  net::NatConfig nat;
-  sim::Duration mean;  // exponential mean; 0 => fixed interval
-  sim::Duration fixed;
-  bool stopped = false;
-  std::uint64_t spawned = 0;
-};
-
-// Shared state for a flash crowd: every spawn event of the surge checks
-// the stop flag and bumps its class counter (per class, so a restart
-// can resume the remaining quota).
-struct FlashState {
-  bool stopped = false;
-  std::uint64_t pub_spawned = 0;
-  std::uint64_t priv_spawned = 0;
-};
-
-}  // namespace detail
-
 namespace {
-
-using detail::FlashState;
-using detail::JoinState;
-
-void join_step(World& world, const std::shared_ptr<JoinState>& st) {
-  if (st->stopped || st->remaining == 0) return;
-  --st->remaining;
-  world.spawn(st->nat);
-  ++st->spawned;
-  if (st->remaining == 0) return;
-  const sim::Duration gap =
-      st->mean > 0
-          ? static_cast<sim::Duration>(world.scenario_rng().exponential(
-                static_cast<double>(st->mean)))
-          : st->fixed;
-  world.simulator().schedule_after(gap,
-                                   [&world, st] { join_step(world, st); });
-}
-
-void schedule_join_chain(World& world, const std::shared_ptr<JoinState>& st,
-                         sim::SimTime start) {
-  world.simulator().schedule_at(start,
-                                [&world, st] { join_step(world, st); });
-}
 
 /// Inverse CDF of the triangular rate profile on [0, 1] (peak at 1/2):
 /// the fraction of the flash-crowd window elapsed when a fraction `u` of
@@ -87,40 +38,16 @@ std::uint64_t kill_uniform(World& world, double fraction) {
 
 }  // namespace
 
-void schedule_poisson_joins(World& world, std::size_t count,
-                            const net::NatConfig& nat,
-                            sim::Duration mean_interarrival,
-                            sim::SimTime start) {
-  if (count == 0) return;
-  CROUPIER_ASSERT(mean_interarrival > 0);
-  auto st = std::make_shared<JoinState>(
-      JoinState{count, nat, mean_interarrival, 0});
-  schedule_join_chain(world, st, start);
-}
-
-void schedule_fixed_joins(World& world, std::size_t count,
-                          const net::NatConfig& nat, sim::Duration interval,
-                          sim::SimTime start) {
-  if (count == 0) return;
-  CROUPIER_ASSERT(interval > 0);
-  auto st = std::make_shared<JoinState>(JoinState{count, nat, 0, interval});
-  schedule_join_chain(world, st, start);
-}
-
-void schedule_catastrophe(World& world, sim::SimTime at, double fraction) {
-  CROUPIER_ASSERT(fraction >= 0.0 && fraction <= 1.0);
-  world.simulator().schedule_at(
-      at, [&world, fraction] { kill_uniform(world, fraction); });
-}
-
 // ---------------------------------------------------------------- joins
 
 JoinProcess::JoinProcess(World& world, std::size_t count,
                          const net::NatConfig& nat, sim::Duration mean,
                          sim::Duration fixed)
     : ScenarioProcess(world),
-      state_(std::make_shared<JoinState>(JoinState{count, nat, mean, fixed})) {
-}
+      remaining_(count),
+      nat_(nat),
+      mean_(mean),
+      fixed_(fixed) {}
 
 std::unique_ptr<JoinProcess> JoinProcess::poisson(
     World& world, std::size_t count, const net::NatConfig& nat,
@@ -139,30 +66,20 @@ std::unique_ptr<JoinProcess> JoinProcess::fixed(World& world,
       new JoinProcess(world, count, nat, 0, interval));
 }
 
-void JoinProcess::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  // Restart after stop(): events of the old chain may still be queued,
-  // so arm a fresh state (counters carried over) and leave the old one
-  // permanently stopped — re-flipping its flag would resurrect the
-  // zombie chain alongside the new one.
-  if (state_->stopped) {
-    state_ = std::make_shared<JoinState>(*state_);
-    state_->stopped = false;
-  }
-  if (state_->remaining == 0) return;
-  schedule_join_chain(world_, state_, at);
+void JoinProcess::arm(sim::SimTime at) {
+  if (remaining_ > 0) guarded_at(at, [this] { step(); });
 }
 
-void JoinProcess::stop() {
-  running_ = false;
-  state_->stopped = true;
-}
-
-ScenarioProcess::Stats JoinProcess::stats() const {
-  Stats s;
-  s.spawned = state_->spawned;
-  return s;
+void JoinProcess::step() {
+  --remaining_;
+  world_.spawn(nat_);
+  ++stats_.spawned;
+  if (remaining_ == 0) return;
+  const sim::Duration gap =
+      mean_ > 0 ? static_cast<sim::Duration>(world_.scenario_rng().exponential(
+                      static_cast<double>(mean_)))
+                : fixed_;
+  guarded_after(gap, [this] { step(); });
 }
 
 // ---------------------------------------------------------- flash crowd
@@ -173,127 +90,68 @@ FlashCrowdProcess::FlashCrowdProcess(World& world, std::size_t publics,
     : ScenarioProcess(world),
       publics_(publics),
       privates_(privates),
-      over_(over),
-      state_(std::make_shared<FlashState>()) {
+      over_(over) {
   CROUPIER_ASSERT(over_ > 0);
 }
 
-void FlashCrowdProcess::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  // As in JoinProcess::start: a restart must not re-enable arrivals of
-  // the stopped surge still sitting in the queue, and it resumes the
-  // *remaining* crowd (re-ramped over a fresh window) rather than
-  // replaying nodes that already joined.
-  if (state_->stopped) {
-    state_ = std::make_shared<FlashState>(*state_);
-    state_->stopped = false;
-  }
-  // Arrival k of N lands at the inverse-CDF grid point of the triangular
-  // profile — deterministic, monotone in k, interleaving the two classes
-  // purely by timestamp.
-  const auto schedule_class = [this, at](std::size_t count,
+void FlashCrowdProcess::arm(sim::SimTime at) {
+  // A restart resumes the *remaining* crowd (re-ramped over a fresh
+  // window) rather than replaying nodes that already joined. Arrival k
+  // of N lands at the inverse-CDF grid point of the triangular profile —
+  // deterministic, monotone in k, interleaving the two classes purely by
+  // timestamp.
+  const auto schedule_class = [this, at](std::size_t total,
                                          const net::NatConfig& nat,
-                                         std::uint64_t FlashState::*spawned) {
+                                         std::uint64_t& spawned) {
+    const std::size_t count =
+        total > spawned ? total - static_cast<std::size_t>(spawned) : 0;
     for (std::size_t k = 0; k < count; ++k) {
       const double u =
           (static_cast<double>(k) + 0.5) / static_cast<double>(count);
       const auto offset = static_cast<sim::Duration>(std::llround(
           triangular_inv_cdf(u) * static_cast<double>(over_)));
-      World& world = world_;
-      const auto st = state_;
-      world_.simulator().schedule_at(at + offset, [&world, st, nat,
-                                                   spawned] {
-        if (st->stopped) return;
-        world.spawn(nat);
-        ++((*st).*spawned);
+      guarded_at(at + offset, [this, nat, &spawned] {
+        world_.spawn(nat);
+        ++spawned;
+        ++stats_.spawned;
       });
     }
   };
-  const auto remaining = [](std::size_t total, std::uint64_t done) {
-    return total > done ? total - static_cast<std::size_t>(done) : 0;
-  };
-  schedule_class(remaining(publics_, state_->pub_spawned),
-                 net::NatConfig::open(), &FlashState::pub_spawned);
-  schedule_class(remaining(privates_, state_->priv_spawned),
-                 net::NatConfig::natted(), &FlashState::priv_spawned);
-}
-
-void FlashCrowdProcess::stop() {
-  running_ = false;
-  state_->stopped = true;
-}
-
-ScenarioProcess::Stats FlashCrowdProcess::stats() const {
-  Stats s;
-  s.spawned = state_->pub_spawned + state_->priv_spawned;
-  return s;
+  schedule_class(publics_, net::NatConfig::open(), pub_spawned_);
+  schedule_class(privates_, net::NatConfig::natted(), priv_spawned_);
 }
 
 // ----------------------------------------------------------- catastrophe
 
 CatastropheProcess::CatastropheProcess(World& world, double fraction)
-    : ScenarioProcess(world),
-      fraction_(fraction),
-      alive_flag_(std::make_shared<bool>(false)) {
+    : ScenarioProcess(world), fraction_(fraction) {
   CROUPIER_ASSERT(fraction_ >= 0.0 && fraction_ <= 1.0);
 }
 
-void CatastropheProcess::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  // A fresh flag per arming: events queued by a previous (stopped) start
-  // hold the old flag and stay inert forever.
-  alive_flag_ = std::make_shared<bool>(true);
+void CatastropheProcess::arm(sim::SimTime at) {
   // Double indirection on purpose: the hand-built fig7b ran the world up
   // to the crash instant and only then scheduled the kill, so the kill
   // executed after every already-queued event of that timestamp.
   // Scheduling the real kill event from inside a same-time event
   // reproduces that tie-break (fresh event ids sort last), keeping
   // spec-built worlds bit-compatible with the historic bench.
-  const auto armed = alive_flag_;
-  world_.simulator().schedule_at(at, [this, armed, at] {
-    if (!*armed) return;
-    world_.simulator().schedule_at(at, [this, armed] {
-      if (!*armed) return;
-      fire();
+  guarded_at(at, [this, at] {
+    guarded_at(at, [this] {
+      stats_.killed += kill_uniform(world_, fraction_);
     });
   });
 }
-
-void CatastropheProcess::stop() {
-  running_ = false;
-  *alive_flag_ = false;
-}
-
-void CatastropheProcess::fire() { stats_.killed += kill_uniform(world_, fraction_); }
 
 // ----------------------------------------------------- correlated failure
 
 CorrelatedFailureProcess::CorrelatedFailureProcess(World& world,
                                                    double fraction, Corr corr)
-    : ScenarioProcess(world),
-      fraction_(fraction),
-      corr_(corr),
-      alive_flag_(std::make_shared<bool>(false)) {
+    : ScenarioProcess(world), fraction_(fraction), corr_(corr) {
   CROUPIER_ASSERT(fraction_ >= 0.0 && fraction_ <= 1.0);
 }
 
-void CorrelatedFailureProcess::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  // A fresh flag per arming, as in CatastropheProcess::start.
-  alive_flag_ = std::make_shared<bool>(true);
-  const auto armed = alive_flag_;
-  world_.simulator().schedule_at(at, [this, armed] {
-    if (!*armed) return;
-    fire();
-  });
-}
-
-void CorrelatedFailureProcess::stop() {
-  running_ = false;
-  *alive_flag_ = false;
+void CorrelatedFailureProcess::arm(sim::SimTime at) {
+  guarded_at(at, [this] { fire(); });
 }
 
 void CorrelatedFailureProcess::fire() {
@@ -369,31 +227,11 @@ ChurnProcess::ChurnProcess(World& world, double fraction_per_round,
   CROUPIER_ASSERT(period_ > 0);
 }
 
-void ChurnProcess::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  pending_ = world_.simulator().schedule_at(at, [this] { tick(); });
-}
-
-void ChurnProcess::stop() {
-  if (!running_) return;
-  running_ = false;
-  if (pending_ != sim::kInvalidEventId) {
-    world_.simulator().cancel(pending_);
-    pending_ = sim::kInvalidEventId;
-  }
-}
-
-ScenarioProcess::Stats ChurnProcess::stats() const {
-  Stats s;
-  s.replaced = replaced_;
-  return s;
+void ChurnProcess::arm(sim::SimTime at) {
+  guarded_at(at, [this] { tick(); });
 }
 
 void ChurnProcess::tick() {
-  pending_ = sim::kInvalidEventId;
-  if (!running_) return;
-
   auto replace_class = [this](net::NatType type, double& carry,
                               const net::NatConfig& cfg) {
     if (world_.count(type) == 0) {
@@ -418,7 +256,7 @@ void ChurnProcess::tick() {
         if (world_.type_of(victim) == type) {
           world_.kill(victim);
           world_.spawn(cfg);
-          ++replaced_;
+          ++stats_.replaced;
           break;
         }
       }
@@ -427,10 +265,7 @@ void ChurnProcess::tick() {
 
   replace_class(net::NatType::Public, carry_public_, public_cfg_);
   replace_class(net::NatType::Private, carry_private_, private_cfg_);
-
-  if (running_) {
-    pending_ = world_.simulator().schedule_after(period_, [this] { tick(); });
-  }
+  guarded_after(period_, [this] { tick(); });
 }
 
 // ---------------------------------------------------------------- eclipse
@@ -442,25 +277,11 @@ EclipseProcess::EclipseProcess(World& world, net::NodeId target,
   CROUPIER_ASSERT(period_ > 0);
 }
 
-void EclipseProcess::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  pending_ = world_.simulator().schedule_at(at, [this] { tick(); });
-}
-
-void EclipseProcess::stop() {
-  if (!running_) return;
-  running_ = false;
-  if (pending_ != sim::kInvalidEventId) {
-    world_.simulator().cancel(pending_);
-    pending_ = sim::kInvalidEventId;
-  }
+void EclipseProcess::arm(sim::SimTime at) {
+  guarded_at(at, [this] { tick(); });
 }
 
 void EclipseProcess::tick() {
-  pending_ = sim::kInvalidEventId;
-  if (!running_) return;
-
   const auto* sampler =
       world_.alive(target_) ? world_.sampler(target_) : nullptr;
   if (sampler != nullptr) {
@@ -479,10 +300,7 @@ void EclipseProcess::tick() {
       ++stats_.replaced;
     }
   }
-
-  if (running_) {
-    pending_ = world_.simulator().schedule_after(period_, [this] { tick(); });
-  }
+  guarded_after(period_, [this] { tick(); });
 }
 
 // ---------------------------------------------------------------- natflap
@@ -494,27 +312,11 @@ NatFlapProcess::NatFlapProcess(World& world, double fraction,
   CROUPIER_ASSERT(period_ > 0);
 }
 
-void NatFlapProcess::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  pending_ = world_.simulator().schedule_at(at, [this] { tick(); });
-}
-
-void NatFlapProcess::stop() {
-  if (!running_) return;
-  running_ = false;
-  if (pending_ != sim::kInvalidEventId) {
-    world_.simulator().cancel(pending_);
-    pending_ = sim::kInvalidEventId;
-  }
-  // Flapped nodes keep their flipped class until the next "back" phase
-  // of a restarted process — a stopped attack does not undo itself.
+void NatFlapProcess::arm(sim::SimTime at) {
+  guarded_at(at, [this] { tick(); });
 }
 
 void NatFlapProcess::tick() {
-  pending_ = sim::kInvalidEventId;
-  if (!running_) return;
-
   if (out_phase_) {
     const auto targets = static_cast<std::size_t>(std::floor(
         fraction_ * static_cast<double>(world_.alive_count())));
@@ -538,10 +340,7 @@ void NatFlapProcess::tick() {
     flapped_.clear();
   }
   out_phase_ = !out_phase_;
-
-  if (running_) {
-    pending_ = world_.simulator().schedule_after(period_, [this] { tick(); });
-  }
+  guarded_after(period_, [this] { tick(); });
 }
 
 }  // namespace croupier::run

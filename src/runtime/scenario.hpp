@@ -21,10 +21,12 @@
 //    the membership dynamics under which peer-sampler randomness claims
 //    are most fragile (PeerSwap, arXiv:2408.03829).
 //
-// The historic free functions (schedule_*_joins, schedule_catastrophe)
-// remain as fire-and-forget wrappers over the same internals; tests and
-// hand-built worlds keep using them, and their event/RNG schedules are
-// unchanged.
+// The lifecycle lives in the base class, once: start() installs a fresh
+// arming flag and calls the process's arm(); stop() and the destructor
+// clear the flag. Every event a process schedules goes through the
+// guarded_at/guarded_after helpers, so an event queued by a stopped,
+// restarted or destroyed process fires as a no-op (the event queue has
+// no cancellation).
 //
 // Determinism contract: every event a scenario process schedules is
 // serial-affinity (scenario code mutates cross-node state — spawns,
@@ -38,30 +40,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "net/nat.hpp"
 #include "runtime/world.hpp"
 
 namespace croupier::run {
-
-/// Joins `count` nodes with exponential inter-arrival times of the given
-/// mean, starting at `start`.
-void schedule_poisson_joins(World& world, std::size_t count,
-                            const net::NatConfig& nat,
-                            sim::Duration mean_interarrival,
-                            sim::SimTime start = 0);
-
-/// Joins `count` nodes at a fixed interval, starting at `start`.
-void schedule_fixed_joins(World& world, std::size_t count,
-                          const net::NatConfig& nat, sim::Duration interval,
-                          sim::SimTime start = 0);
-
-/// Kills floor(fraction * alive) uniformly random nodes at time `at`.
-void schedule_catastrophe(World& world, sim::SimTime at, double fraction);
-
-namespace detail {
-struct JoinState;
-struct FlashState;
-}  // namespace detail
 
 /// One membership dynamic of an experiment. Concrete processes schedule
 /// their own events on the world's simulator; the owner (usually an
@@ -69,21 +52,28 @@ struct FlashState;
 class ScenarioProcess {
  public:
   explicit ScenarioProcess(World& world) : world_(world) {}
-  virtual ~ScenarioProcess() = default;
+  virtual ~ScenarioProcess() { stop(); }
 
   ScenarioProcess(const ScenarioProcess&) = delete;
   ScenarioProcess& operator=(const ScenarioProcess&) = delete;
 
   /// Arms the process at virtual time `at`. Call at most once while the
-  /// process is running; a stopped process may be started again.
-  virtual void start(sim::SimTime at) = 0;
+  /// process is running; a stopped process may be started again and
+  /// resumes its remaining work.
+  void start(sim::SimTime at) {
+    CROUPIER_ASSERT(!running());
+    armed_ = std::make_shared<bool>(true);
+    arm(at);
+  }
 
   /// Halts the process immediately and idempotently: no node is spawned,
   /// killed or replaced by this process after stop() returns, including
-  /// by ticks already sitting in the event queue.
-  virtual void stop() = 0;
+  /// by events already sitting in the event queue.
+  void stop() {
+    if (armed_) *armed_ = false;
+  }
 
-  [[nodiscard]] bool running() const { return running_; }
+  [[nodiscard]] bool running() const { return armed_ && *armed_; }
 
   /// Lifetime totals of what the process did to the population.
   struct Stats {
@@ -92,15 +82,38 @@ class ScenarioProcess {
     std::uint64_t replaced = 0;      // kill+respawn pairs (churn, eclipse)
     std::uint64_t reclassified = 0;  // in-place NAT class flips (natflap)
   };
-  [[nodiscard]] virtual Stats stats() const = 0;
+  [[nodiscard]] const Stats& stats() const { return stats_; }
 
  protected:
+  /// Schedules the process's first events, starting at `at`.
+  virtual void arm(sim::SimTime at) = 0;
+
+  /// Schedule `fn` under the current arming: it runs only if the process
+  /// has not been stopped, restarted or destroyed in the meantime.
+  template <typename Fn>
+  void guarded_at(sim::SimTime at, Fn fn) {
+    world_.simulator().schedule_at(at, guard(std::move(fn)));
+  }
+  template <typename Fn>
+  void guarded_after(sim::Duration delay, Fn fn) {
+    world_.simulator().schedule_after(delay, guard(std::move(fn)));
+  }
+
   World& world_;
-  bool running_ = false;
+  Stats stats_;
+
+ private:
+  template <typename Fn>
+  auto guard(Fn fn) {
+    return [armed = armed_, fn = std::move(fn)]() mutable {
+      if (*armed) fn();
+    };
+  }
+
+  std::shared_ptr<bool> armed_;  // shared with every queued event
 };
 
-/// Poisson or fixed-interval join process (the two historic free
-/// functions as a stoppable pipeline stage).
+/// Poisson or fixed-interval join process.
 class JoinProcess final : public ScenarioProcess {
  public:
   /// Exponential inter-arrival times of the given mean.
@@ -112,15 +125,16 @@ class JoinProcess final : public ScenarioProcess {
                                             const net::NatConfig& nat,
                                             sim::Duration interval);
 
-  void start(sim::SimTime at) override;
-  void stop() override;
-  [[nodiscard]] Stats stats() const override;
-
  private:
   JoinProcess(World& world, std::size_t count, const net::NatConfig& nat,
               sim::Duration mean, sim::Duration fixed);
+  void arm(sim::SimTime at) override;
+  void step();
 
-  std::shared_ptr<detail::JoinState> state_;
+  std::size_t remaining_;
+  net::NatConfig nat_;
+  sim::Duration mean_;  // exponential mean; 0 => fixed interval
+  sim::Duration fixed_;
 };
 
 /// A flash crowd: `publics` + `privates` extra nodes join inside a
@@ -134,15 +148,15 @@ class FlashCrowdProcess final : public ScenarioProcess {
   FlashCrowdProcess(World& world, std::size_t publics, std::size_t privates,
                     sim::Duration over);
 
-  void start(sim::SimTime at) override;
-  void stop() override;
-  [[nodiscard]] Stats stats() const override;
-
  private:
+  void arm(sim::SimTime at) override;
+
   std::size_t publics_;
   std::size_t privates_;
   sim::Duration over_;
-  std::shared_ptr<detail::FlashState> state_;
+  // Per class, so a restart can resume the remaining quota.
+  std::uint64_t pub_spawned_ = 0;
+  std::uint64_t priv_spawned_ = 0;
 };
 
 /// Catastrophic failure: floor(fraction * alive) uniformly random nodes
@@ -154,18 +168,11 @@ class FlashCrowdProcess final : public ScenarioProcess {
 class CatastropheProcess final : public ScenarioProcess {
  public:
   CatastropheProcess(World& world, double fraction);
-  ~CatastropheProcess() override { *alive_flag_ = false; }
-
-  void start(sim::SimTime at) override;
-  void stop() override;
-  [[nodiscard]] Stats stats() const override { return stats_; }
 
  private:
-  void fire();
+  void arm(sim::SimTime at) override;
 
   double fraction_;
-  Stats stats_;
-  std::shared_ptr<bool> alive_flag_;  // guards the queued fire() events
 };
 
 /// Correlated failure: like a catastrophe, but the crashing cohort is
@@ -177,25 +184,21 @@ class CatastropheProcess final : public ScenarioProcess {
 ///            uniformly from that class first and spill into the rest of
 ///            the population only once the class is exhausted, so `frac`
 ///            keeps meaning a fraction of the whole system;
-///   Uniform: the fig. 7b baseline, for like-for-like comparisons.
+///   Uniform: the fig. 7b baseline, for like-for-like comparisons. One
+///            event at `at` kills floor(frac*alive) nodes drawn one at a
+///            time from the shrinking live population.
 class CorrelatedFailureProcess final : public ScenarioProcess {
  public:
   enum class Corr : std::uint8_t { Uniform, Region, Public, Private };
 
   CorrelatedFailureProcess(World& world, double fraction, Corr corr);
-  ~CorrelatedFailureProcess() override { *alive_flag_ = false; }
-
-  void start(sim::SimTime at) override;
-  void stop() override;
-  [[nodiscard]] Stats stats() const override { return stats_; }
 
  private:
+  void arm(sim::SimTime at) override;
   void fire();
 
   double fraction_;
   Corr corr_;
-  Stats stats_;
-  std::shared_ptr<bool> alive_flag_;
 };
 
 /// Continuous churn: each period, `fraction` of each node class is
@@ -204,29 +207,15 @@ class CorrelatedFailureProcess final : public ScenarioProcess {
 /// (0.1 %/round) still average out correctly; a quota carry is dropped
 /// while its class has no live nodes (a stale carry would otherwise
 /// burst-replace the first node of that class to reappear after a
-/// catastrophe or at ratio extremes).
+/// catastrophe or at ratio extremes). Runs until stop().
 class ChurnProcess final : public ScenarioProcess {
  public:
   ChurnProcess(World& world, double fraction_per_round,
                net::NatConfig public_cfg, net::NatConfig private_cfg,
                sim::Duration period = sim::sec(1));
-  /// Cancels the pending tick: no event capturing this object survives
-  /// it (the owning World must still be alive, which every owner —
-  /// Experiment pipeline or stack scope — already guarantees).
-  ~ChurnProcess() override { stop(); }
-
-  /// Starts replacing nodes at time `at`. Runs until stop().
-  void start(sim::SimTime at) override;
-  /// Immediate and idempotent: the pending tick is cancelled, so no
-  /// replacement fires after stop() even if one was already queued, and
-  /// a subsequent start() cannot stack a second tick chain on top of a
-  /// zombie one.
-  void stop() override;
-
-  [[nodiscard]] std::uint64_t replaced() const { return replaced_; }
-  [[nodiscard]] Stats stats() const override;
 
  private:
+  void arm(sim::SimTime at) override;
   void tick();
 
   double fraction_;
@@ -235,8 +224,6 @@ class ChurnProcess final : public ScenarioProcess {
   sim::Duration period_;
   double carry_public_ = 0.0;
   double carry_private_ = 0.0;
-  sim::EventId pending_ = sim::kInvalidEventId;
-  std::uint64_t replaced_ = 0;
 };
 
 /// Eclipse attack as a membership dynamic: each period, every node the
@@ -250,20 +237,13 @@ class ChurnProcess final : public ScenarioProcess {
 class EclipseProcess final : public ScenarioProcess {
  public:
   EclipseProcess(World& world, net::NodeId target, sim::Duration period);
-  /// Cancels the pending tick, as in ChurnProcess.
-  ~EclipseProcess() override { stop(); }
-
-  void start(sim::SimTime at) override;
-  void stop() override;
-  [[nodiscard]] Stats stats() const override { return stats_; }
 
  private:
+  void arm(sim::SimTime at) override;
   void tick();
 
   net::NodeId target_;
   sim::Duration period_;
-  Stats stats_;
-  sim::EventId pending_ = sim::kInvalidEventId;
 };
 
 /// Oscillating NAT reclassification: each period alternates between an
@@ -275,15 +255,12 @@ class EclipseProcess final : public ScenarioProcess {
 /// survive the flip; only the protocol instance is rebuilt. This is the
 /// dynamic that breaks traversal-dependent samplers (gozar's relay
 /// parents, nylon's RVP chains reference classes that no longer hold)
-/// while a croupier private only ever depends on live publics.
+/// while a croupier private only ever depends on live publics. A stopped
+/// process does not undo itself: flapped nodes keep their flipped class
+/// until the next "back" phase of a restarted process.
 class NatFlapProcess final : public ScenarioProcess {
  public:
   NatFlapProcess(World& world, double fraction, sim::Duration period);
-  ~NatFlapProcess() override { stop(); }
-
-  void start(sim::SimTime at) override;
-  void stop() override;
-  [[nodiscard]] Stats stats() const override { return stats_; }
 
   /// Nodes currently flipped away from their original class.
   [[nodiscard]] std::size_t currently_flapped() const {
@@ -291,14 +268,13 @@ class NatFlapProcess final : public ScenarioProcess {
   }
 
  private:
+  void arm(sim::SimTime at) override;
   void tick();
 
   double fraction_;
   sim::Duration period_;
   bool out_phase_ = true;  // next tick flips out; alternates
   std::vector<std::pair<net::NodeId, net::NatConfig>> flapped_;
-  Stats stats_;
-  sim::EventId pending_ = sim::kInvalidEventId;
 };
 
 }  // namespace croupier::run

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <optional>
@@ -626,112 +627,94 @@ Experiment::Experiment(const ExperimentSpec& spec, std::uint64_t seed,
   }
   world_ = std::make_unique<World>(cfg, std::move(factory));
 
-  // The scenario pipeline. Scheduling order mirrors what the benches
-  // always did by hand — joins, then churn, then catastrophe, then
-  // recorders — so a spec-built world replays a hand-built one event for
-  // event; the newer families (flash crowd, correlated failure, eclipse,
-  // natflap) slot in after their nearest historic sibling and exist only
-  // in specs with no hand-built twin.
-  const auto arm = [this](std::unique_ptr<ScenarioProcess> process,
-                          sim::SimTime at) {
-    process->start(at);
-    scenario_.push_back(std::move(process));
-  };
-
   const std::size_t pubs = spec_.publics();
   const std::size_t privs = spec_.privates();
-  switch (spec_.join) {
-    case ExperimentSpec::JoinKind::Poisson:
-      if (pubs > 0) {
-        arm(JoinProcess::poisson(*world_, pubs, net::NatConfig::open(),
-                                 from_ms(spec_.join_public_ms)),
-            0);
+  if (spec_.join == ExperimentSpec::JoinKind::Instant) {
+    // With the NAT-ID protocol on, the initial publics are operator
+    // seeds: the identification protocol needs existing public
+    // responders before any node can classify itself.
+    for (std::size_t i = 0; i < pubs; ++i) {
+      if (spec_.natid) {
+        world_->spawn_seeded(net::NatConfig::open());
+      } else {
+        world_->spawn(net::NatConfig::open());
       }
-      if (privs > 0) {
-        arm(JoinProcess::poisson(*world_, privs, net::NatConfig::natted(),
-                                 from_ms(spec_.join_private_ms)),
-            0);
-      }
-      break;
-    case ExperimentSpec::JoinKind::Fixed:
-      if (pubs > 0) {
-        arm(JoinProcess::fixed(*world_, pubs, net::NatConfig::open(),
-                               from_ms(spec_.join_public_ms)),
-            0);
-      }
-      if (privs > 0) {
-        arm(JoinProcess::fixed(*world_, privs, net::NatConfig::natted(),
-                               from_ms(spec_.join_private_ms)),
-            0);
-      }
-      break;
-    case ExperimentSpec::JoinKind::Instant:
-      // With the NAT-ID protocol on, the initial publics are operator
-      // seeds: the identification protocol needs existing public
-      // responders before any node can classify itself.
-      for (std::size_t i = 0; i < pubs; ++i) {
-        if (spec_.natid) {
-          world_->spawn_seeded(net::NatConfig::open());
-        } else {
-          world_->spawn(net::NatConfig::open());
-        }
-      }
-      for (std::size_t i = 0; i < privs; ++i) {
-        world_->spawn(net::NatConfig::natted());
-      }
-      break;
+    }
+    for (std::size_t i = 0; i < privs; ++i) {
+      world_->spawn(net::NatConfig::natted());
+    }
   }
 
-  if (spec_.step_publics > 0) {
-    arm(JoinProcess::fixed(*world_, spec_.step_publics,
-                           net::NatConfig::open(),
-                           from_ms(spec_.step_every_ms)),
-        from_s(spec_.step_at_s));
-  }
-  if (spec_.step_privates > 0) {
-    arm(JoinProcess::fixed(*world_, spec_.step_privates,
-                           net::NatConfig::natted(),
-                           from_ms(spec_.step_every_ms)),
-        from_s(spec_.step_at_s));
-  }
-
-  if (spec_.flash_publics + spec_.flash_privates > 0) {
-    arm(std::make_unique<FlashCrowdProcess>(*world_, spec_.flash_publics,
-                                            spec_.flash_privates,
-                                            from_s(spec_.flash_over_s)),
-        from_s(spec_.flash_at_s));
-  }
-
-  if (spec_.churn > 0.0) {
-    arm(std::make_unique<ChurnProcess>(*world_, spec_.churn,
-                                       net::NatConfig::open(),
-                                       net::NatConfig::natted()),
-        from_s(spec_.churn_at_s));
-  }
-
-  if (spec_.catastrophe > 0.0) {
-    arm(std::make_unique<CatastropheProcess>(*world_, spec_.catastrophe),
-        from_s(spec_.catastrophe_at_s));
-  }
-
-  if (spec_.failure_frac > 0.0) {
-    arm(std::make_unique<CorrelatedFailureProcess>(*world_,
-                                                   spec_.failure_frac,
-                                                   spec_.failure_corr),
-        from_s(spec_.failure_at_s));
-  }
-
-  if (spec_.eclipse_target != 0) {
-    arm(std::make_unique<EclipseProcess>(
-            *world_, static_cast<net::NodeId>(spec_.eclipse_target),
-            from_s(spec_.eclipse_period_s)),
-        from_s(spec_.eclipse_at_s));
-  }
-
-  if (spec_.natflap_frac > 0.0) {
-    arm(std::make_unique<NatFlapProcess>(*world_, spec_.natflap_frac,
-                                         from_s(spec_.natflap_period_s)),
-        from_s(spec_.natflap_at_s));
+  // The scenario pipeline, one row per process: {armed?, start, factory}.
+  // Row order is arming order and mirrors what the benches always did by
+  // hand — joins, then churn, then catastrophe, then recorders — so a
+  // spec-built world replays a hand-built one event for event; the newer
+  // families (flash crowd, correlated failure, eclipse, natflap) slot in
+  // after their nearest historic sibling and exist only in specs with no
+  // hand-built twin.
+  using Make = std::function<std::unique_ptr<ScenarioProcess>()>;
+  const auto joins = [this](bool poisson, std::size_t count,
+                            net::NatConfig nat, double gap_ms) -> Make {
+    return [this, poisson, count, nat, gap = from_ms(gap_ms)] {
+      return poisson ? JoinProcess::poisson(*world_, count, nat, gap)
+                     : JoinProcess::fixed(*world_, count, nat, gap);
+    };
+  };
+  const bool poisson = spec_.join == ExperimentSpec::JoinKind::Poisson;
+  const bool gradual = spec_.join != ExperimentSpec::JoinKind::Instant;
+  const struct {
+    bool on;
+    sim::SimTime at;
+    Make make;
+  } pipeline[] = {
+      {gradual && pubs > 0, 0,
+       joins(poisson, pubs, net::NatConfig::open(), spec_.join_public_ms)},
+      {gradual && privs > 0, 0,
+       joins(poisson, privs, net::NatConfig::natted(), spec_.join_private_ms)},
+      {spec_.step_publics > 0, from_s(spec_.step_at_s),
+       joins(false, spec_.step_publics, net::NatConfig::open(),
+             spec_.step_every_ms)},
+      {spec_.step_privates > 0, from_s(spec_.step_at_s),
+       joins(false, spec_.step_privates, net::NatConfig::natted(),
+             spec_.step_every_ms)},
+      {spec_.flash_publics + spec_.flash_privates > 0, from_s(spec_.flash_at_s),
+       [this] {
+         return std::make_unique<FlashCrowdProcess>(
+             *world_, spec_.flash_publics, spec_.flash_privates,
+             from_s(spec_.flash_over_s));
+       }},
+      {spec_.churn > 0.0, from_s(spec_.churn_at_s),
+       [this] {
+         return std::make_unique<ChurnProcess>(*world_, spec_.churn,
+                                               net::NatConfig::open(),
+                                               net::NatConfig::natted());
+       }},
+      {spec_.catastrophe > 0.0, from_s(spec_.catastrophe_at_s),
+       [this] {
+         return std::make_unique<CatastropheProcess>(*world_,
+                                                     spec_.catastrophe);
+       }},
+      {spec_.failure_frac > 0.0, from_s(spec_.failure_at_s),
+       [this] {
+         return std::make_unique<CorrelatedFailureProcess>(
+             *world_, spec_.failure_frac, spec_.failure_corr);
+       }},
+      {spec_.eclipse_target != 0, from_s(spec_.eclipse_at_s),
+       [this] {
+         return std::make_unique<EclipseProcess>(
+             *world_, static_cast<net::NodeId>(spec_.eclipse_target),
+             from_s(spec_.eclipse_period_s));
+       }},
+      {spec_.natflap_frac > 0.0, from_s(spec_.natflap_at_s),
+       [this] {
+         return std::make_unique<NatFlapProcess>(
+             *world_, spec_.natflap_frac, from_s(spec_.natflap_period_s));
+       }},
+  };
+  for (const auto& row : pipeline) {
+    if (!row.on) continue;
+    scenario_.push_back(row.make());
+    scenario_.back()->start(row.at);
   }
 
   switch (spec_.record) {

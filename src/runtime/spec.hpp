@@ -253,8 +253,8 @@ class Experiment {
  private:
   ExperimentSpec spec_;
   std::unique_ptr<World> world_;
-  // Declared after world_ so the pipeline is destroyed first: processes
-  // may cancel their pending events, which needs the simulator alive.
+  // A destroyed process only clears its arming flag, so its queued
+  // events go inert whichever of world_ and the pipeline dies first.
   std::vector<std::unique_ptr<ScenarioProcess>> scenario_;
   std::unique_ptr<Recorder> recorder_;
 };

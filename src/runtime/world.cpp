@@ -225,9 +225,9 @@ void World::schedule_round(net::NodeId id, std::uint32_t epoch) {
 
   const auto period = static_cast<sim::Duration>(
       static_cast<double>(cfg_.round_period) * node.period_scale);
-  // detlint:allow(naked-schedule) the round re-arm discards the EventId
-  // (the chain is torn down via the epoch check, never cancel()), and
-  // schedule_impl auto-defers it when this runs inside a parallel batch.
+  // detlint:allow(naked-schedule) the round re-arm needs no guard: the
+  // chain is torn down via the epoch check, and schedule_impl
+  // auto-defers it when this runs inside a parallel batch.
   sim_.schedule_after(period, static_cast<sim::Affinity>(id),
                       [this, id, epoch] { schedule_round(id, epoch); });
 }

@@ -2,8 +2,11 @@
 //
 // Events with equal timestamps fire in scheduling (FIFO) order, which makes
 // simulations deterministic: the (time, sequence-number) pair is a total
-// order. Cancellation is lazy — cancelled ids are remembered and skipped
-// when popped — which keeps both schedule and cancel O(log n) amortized.
+// order. The queue is one binary heap of entries that own their
+// callbacks, boxed: sifts move 32-byte entries, and world set-up measured
+// faster than with the closure held inline. There is no cancellation. A scheduler that may need to call
+// an event off arms it with a guard flag instead (run::ScenarioProcess,
+// natid::NatIdClient), and the stale event fires as a no-op.
 //
 // Every event carries an *affinity* tag: the id of the node whose state
 // the callback touches, or kSerialAffinity when the callback reads or
@@ -16,20 +19,16 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "sim/time.hpp"
 
 namespace croupier::sim {
 
-/// Identifies a scheduled event; usable to cancel it before it fires.
+/// Scheduling sequence number: breaks ties between same-time events in
+/// FIFO order.
 using EventId = std::uint64_t;
-
-/// Returned by schedule calls made from inside a parallel batch, where the
-/// real id is only assigned at the deterministic replay. Never a live id.
-constexpr EventId kInvalidEventId = 0;
 
 /// Which node's state an event touches. kSerialAffinity marks events that
 /// touch cross-node state and therefore must run alone, in order.
@@ -40,37 +39,34 @@ class EventQueue {
  public:
   using Callback = std::function<void()>;
 
-  /// Schedules `fn` at absolute time `at`. Returns an id for cancellation.
-  /// The two-argument form tags the event kSerialAffinity.
-  EventId schedule(SimTime at, Callback fn) {
-    return schedule(at, kSerialAffinity, std::move(fn));
+  /// Schedules `fn` at absolute time `at`. The two-argument form tags the
+  /// event kSerialAffinity.
+  void schedule(SimTime at, Callback fn) {
+    schedule(at, kSerialAffinity, std::move(fn));
   }
-  EventId schedule(SimTime at, Affinity affinity, Callback fn);
+  void schedule(SimTime at, Affinity affinity, Callback fn);
 
-  /// Cancels a pending event. Returns false if the event already fired,
-  /// was already cancelled, or never existed.
-  bool cancel(EventId id);
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
 
-  /// True when no live (non-cancelled) events remain.
-  [[nodiscard]] bool empty() const { return live_count_ == 0; }
+  /// Number of pending events.
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
-  /// Number of live pending events.
-  [[nodiscard]] std::size_t size() const { return live_count_; }
+  /// Timestamp of the earliest event. Must not be called when empty.
+  [[nodiscard]] SimTime next_time() const;
 
-  /// Timestamp of the earliest live event. Must not be called when empty.
-  [[nodiscard]] SimTime next_time();
+  /// Affinity of the earliest event. Must not be called when empty.
+  [[nodiscard]] Affinity next_affinity() const;
 
-  /// Affinity of the earliest live event. Must not be called when empty.
-  [[nodiscard]] Affinity next_affinity();
-
-  /// Removes and returns the earliest live event. Must not be called when
-  /// empty.
+  /// A scheduled event.
   struct Fired {
     SimTime time;
     EventId id;
     Affinity affinity;
     Callback fn;
   };
+
+  /// Removes and returns the earliest event. Must not be called when
+  /// empty.
   Fired pop();
 
  private:
@@ -78,18 +74,16 @@ class EventQueue {
     SimTime time;
     EventId id;
     Affinity affinity;
-
-    bool operator>(const Entry& other) const {
-      if (time != other.time) return time > other.time;
-      return id > other.id;
-    }
+    std::unique_ptr<Callback> fn;
   };
+  /// Heap order: std::*_heap keep the greatest element at the front, so
+  /// "greater" means "fires later".
+  static bool fires_later(const Entry& a, const Entry& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.id > b.id;
+  }
 
-  void drop_cancelled_head();
-
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  std::unordered_map<EventId, Callback> callbacks_;
-  std::size_t live_count_ = 0;
+  std::vector<Entry> heap_;  // min-heap on (time, id)
   EventId next_id_ = 1;
 };
 

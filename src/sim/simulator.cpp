@@ -20,19 +20,18 @@ SimTime Simulator::now() const {
   return log != nullptr ? log->current_time : now_;
 }
 
-EventId Simulator::schedule_after(Duration delay, Affinity affinity,
-                                  EventQueue::Callback fn) {
-  return schedule_impl(now() + delay, affinity, std::move(fn),
-                       /*check_past=*/false);
-}
-
-EventId Simulator::schedule_at(SimTime at, Affinity affinity,
+void Simulator::schedule_after(Duration delay, Affinity affinity,
                                EventQueue::Callback fn) {
-  return schedule_impl(at, affinity, std::move(fn), /*check_past=*/true);
+  schedule_impl(now() + delay, affinity, std::move(fn), /*check_past=*/false);
 }
 
-EventId Simulator::schedule_impl(SimTime at, Affinity affinity,
-                                 EventQueue::Callback fn, bool check_past) {
+void Simulator::schedule_at(SimTime at, Affinity affinity,
+                            EventQueue::Callback fn) {
+  schedule_impl(at, affinity, std::move(fn), /*check_past=*/true);
+}
+
+void Simulator::schedule_impl(SimTime at, Affinity affinity,
+                              EventQueue::Callback fn, bool check_past) {
   if (ShardLog* log = active_log()) {
     // Parallel batch: the queue is shared, so the schedule itself becomes
     // a deferred effect. Re-entering schedule_impl at replay time (the log
@@ -41,7 +40,7 @@ EventId Simulator::schedule_impl(SimTime at, Affinity affinity,
         [this, at, affinity, fn = std::move(fn), check_past]() mutable {
           schedule_impl(at, affinity, std::move(fn), check_past);
         });
-    return kInvalidEventId;
+    return;
   }
   if (check_past) {
     CROUPIER_ASSERT_MSG(at >= now_, "cannot schedule into the past");
@@ -52,13 +51,7 @@ EventId Simulator::schedule_impl(SimTime at, Affinity affinity,
   // closed.
   CROUPIER_ASSERT_MSG(causal_floor_ == 0 || at >= causal_floor_,
                       "deferred schedule violates the lookahead window");
-  return queue_.schedule(at, affinity, std::move(fn));
-}
-
-bool Simulator::cancel(EventId id) {
-  CROUPIER_ASSERT_MSG(active_log() == nullptr,
-                      "cancel() from inside a parallel batch");
-  return queue_.cancel(id);
+  queue_.schedule(at, affinity, std::move(fn));
 }
 
 void Simulator::defer(EventQueue::Callback effect) {

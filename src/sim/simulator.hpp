@@ -19,9 +19,10 @@
 // itself) must go through defer(fn). Outside a parallel batch defer runs
 // the effect immediately — the classic path is unchanged — while inside a
 // batch it is logged per thread and applied at the deterministic replay.
-// Scheduling calls made during a batch are deferred the same way and
-// return kInvalidEventId (the real id is assigned at the replay; callbacks
-// that need to cancel must be serial-affinity, like the NAT-ID timeout).
+// Scheduling calls made during a batch are deferred the same way (the
+// event's sequence number is assigned at the replay). Scheduled events
+// cannot be cancelled: a scheduler that may call one off guards its
+// callback with an arming flag (run::ScenarioProcess, the NAT-ID timeout).
 #pragma once
 
 #include <cstdint>
@@ -48,21 +49,17 @@ class Simulator {
   /// Schedules a callback `delay` after the current time. The affinity
   /// overload tags the event with the node whose state the callback
   /// touches; the plain overload tags it kSerialAffinity.
-  EventId schedule_after(Duration delay, EventQueue::Callback fn) {
-    return schedule_after(delay, kSerialAffinity, std::move(fn));
+  void schedule_after(Duration delay, EventQueue::Callback fn) {
+    schedule_after(delay, kSerialAffinity, std::move(fn));
   }
-  EventId schedule_after(Duration delay, Affinity affinity,
-                         EventQueue::Callback fn);
+  void schedule_after(Duration delay, Affinity affinity,
+                      EventQueue::Callback fn);
 
   /// Schedules a callback at an absolute virtual time (>= now).
-  EventId schedule_at(SimTime at, EventQueue::Callback fn) {
-    return schedule_at(at, kSerialAffinity, std::move(fn));
+  void schedule_at(SimTime at, EventQueue::Callback fn) {
+    schedule_at(at, kSerialAffinity, std::move(fn));
   }
-  EventId schedule_at(SimTime at, Affinity affinity, EventQueue::Callback fn);
-
-  /// Cancels a pending event; returns false if it already fired. Must not
-  /// be called from inside a parallel batch (serial-affinity events only).
-  bool cancel(EventId id);
+  void schedule_at(SimTime at, Affinity affinity, EventQueue::Callback fn);
 
   /// True while the calling thread is executing a parallel-batch shard of
   /// THIS simulator. Hot paths branch on this to apply cross-node effects
@@ -116,8 +113,8 @@ class Simulator {
   /// mis-flags as a store through null.
   static void bind_shard_log(ShardLog* log);
 
-  EventId schedule_impl(SimTime at, Affinity affinity,
-                        EventQueue::Callback fn, bool check_past);
+  void schedule_impl(SimTime at, Affinity affinity, EventQueue::Callback fn,
+                     bool check_past);
 
   static thread_local ShardLog* tls_log_;
 

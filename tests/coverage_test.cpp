@@ -66,16 +66,6 @@ TEST(Simulator, RunForAdvancesRelative) {
   EXPECT_EQ(s.now(), sim::sec(5));
 }
 
-TEST(EventQueue, NextTimeSkipsCancelledPrefix) {
-  sim::EventQueue q;
-  const auto a = q.schedule(1, [] {});
-  const auto b = q.schedule(2, [] {});
-  q.schedule(3, [] {});
-  q.cancel(a);
-  q.cancel(b);
-  EXPECT_EQ(q.next_time(), 3u);
-}
-
 TEST(Estimator, PublicWithoutHitsFallsBackToCacheOnly) {
   core::RatioEstimator e(1, net::NatType::Public, {25, 50, 10});
   e.begin_round();  // no hits at all

@@ -2,6 +2,9 @@
 // crash the simulation or corrupt survivors' state.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "runtime/scenario.hpp"
 #include "test_util.hpp"
 
@@ -49,12 +52,18 @@ TEST(Lifecycle, MassChurnDuringJoinWaveIsSafe) {
   // Joins, churn and deaths all interleaving: the stress case for the
   // runtime's event/ownership discipline.
   World world(fast_world_config(3), make_croupier_factory({}));
-  schedule_poisson_joins(world, 60, net::NatConfig::natted(), sim::msec(100));
-  schedule_poisson_joins(world, 15, net::NatConfig::open(), sim::msec(400));
+  const auto privates =
+      JoinProcess::poisson(world, 60, net::NatConfig::natted(), sim::msec(100));
+  const auto publics =
+      JoinProcess::poisson(world, 15, net::NatConfig::open(), sim::msec(400));
+  privates->start(0);
+  publics->start(0);
   ChurnProcess churn(world, 0.05, net::NatConfig::open(),
                      net::NatConfig::natted());
   churn.start(sim::sec(2));
-  schedule_catastrophe(world, sim::sec(15), 0.5);
+  CorrelatedFailureProcess failure(
+      world, 0.5, CorrelatedFailureProcess::Corr::Uniform);
+  failure.start(sim::sec(15));
   world.simulator().run_until(sim::sec(60));
   EXPECT_GT(world.alive_count(), 10u);
   // Survivors keep gossiping and the overlay reconnects.
@@ -65,14 +74,23 @@ TEST(Lifecycle, MassChurnDuringJoinWaveIsSafe) {
 TEST(Lifecycle, RepeatedCatastrophesWithRejoins) {
   World world(fast_world_config(4), make_croupier_factory({}));
   populate(world, 10, 40);
+  std::vector<std::unique_ptr<ScenarioProcess>> waves;
+  const auto arm = [&waves](std::unique_ptr<ScenarioProcess> process,
+                            sim::SimTime at) {
+    process->start(at);
+    waves.push_back(std::move(process));
+  };
   for (int wave = 0; wave < 3; ++wave) {
     const auto t = sim::sec(10 + wave * 20);
-    schedule_catastrophe(world, t, 0.4);
+    arm(std::make_unique<CorrelatedFailureProcess>(
+            world, 0.4, CorrelatedFailureProcess::Corr::Uniform),
+        t);
     // Refill with fresh nodes shortly after each failure.
-    schedule_poisson_joins(world, 8, net::NatConfig::open(), sim::msec(200),
-                           t + sim::sec(2));
-    schedule_poisson_joins(world, 12, net::NatConfig::natted(),
-                           sim::msec(200), t + sim::sec(2));
+    arm(JoinProcess::poisson(world, 8, net::NatConfig::open(), sim::msec(200)),
+        t + sim::sec(2));
+    arm(JoinProcess::poisson(world, 12, net::NatConfig::natted(),
+                             sim::msec(200)),
+        t + sim::sec(2));
   }
   world.simulator().run_until(sim::sec(90));
   EXPECT_GT(world.alive_count(), 20u);
@@ -89,14 +107,15 @@ TEST(Lifecycle, RepeatedCatastrophesWithRejoins) {
 // live — it fired once more after stop, and a stop+restart stacked a
 // second tick chain on top of the zombie one (double replacement rate).
 TEST(Lifecycle, ChurnStopIsImmediateIdempotentAndRestartable) {
-  // An empty world makes the event count the churn tick count: every
-  // simulator event is a tick (quota is always zero, nothing gossips).
+  // Rate 0.5 on 10 + 10 nodes: every tick replaces exactly 5 + 5 nodes,
+  // so the replacement count is the tick count times 10.
   World world(fast_world_config(6), make_croupier_factory({}));
+  populate(world, 10, 10);
   ChurnProcess churn(world, 0.5, net::NatConfig::open(),
                      net::NatConfig::natted());
   churn.start(sim::sec(1));
   world.simulator().run_until(sim::msec(5200));  // ticks at 1..5 s
-  EXPECT_EQ(world.simulator().events_processed(), 5u);
+  EXPECT_EQ(churn.stats().replaced, 50u);
 
   churn.stop();
   churn.stop();  // idempotent
@@ -107,11 +126,11 @@ TEST(Lifecycle, ChurnStopIsImmediateIdempotentAndRestartable) {
   world.simulator().run_until(sim::sec(10) + sim::msec(200));
   // Exactly one chain: ticks at 6..10 s. With the zombie alive too, the
   // two chains would have doubled this.
-  EXPECT_EQ(world.simulator().events_processed(), 10u);
+  EXPECT_EQ(churn.stats().replaced, 100u);
   churn.stop();
   world.simulator().run_until(sim::sec(20));
-  EXPECT_EQ(world.simulator().events_processed(), 10u);
-  EXPECT_EQ(churn.replaced(), 0u);
+  EXPECT_EQ(churn.stats().replaced, 100u);
+  EXPECT_EQ(world.alive_count(), 20u);
 }
 
 TEST(Lifecycle, WholeWorldTeardownMidFlight) {

@@ -3,6 +3,9 @@
 // uniform start/stop/stats lifecycle.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "runtime/scenario.hpp"
@@ -122,14 +125,22 @@ TEST(CorrelatedFailure, RegionCohortIsLatencyCompact) {
 
 TEST(CorrelatedFailure, UniformModeMatchesCatastropheSampling) {
   // Same seed, same fraction: the uniform cohort must replay the historic
-  // schedule_catastrophe draw for draw.
+  // fig. 7b sampling draw for draw — one event at the crash instant that
+  // kills floor(frac * alive) nodes, each drawn uniformly from the
+  // shrinking live population.
   const auto survivors_with = [](bool historic) {
     World world(fast_world_config(21), make_croupier_factory({}));
     populate(world, 10, 40);
     CorrelatedFailureProcess failure(
         world, 0.5, CorrelatedFailureProcess::Corr::Uniform);
     if (historic) {
-      schedule_catastrophe(world, sim::sec(5), 0.5);
+      world.simulator().schedule_at(sim::sec(5), [&world] {
+        const std::size_t targets = world.alive_count() / 2;
+        for (std::size_t i = 0; i < targets; ++i) {
+          const auto& alive = world.alive_ids();
+          world.kill(alive[world.scenario_rng().index(alive.size())]);
+        }
+      });
     } else {
       failure.start(sim::sec(5));
     }
@@ -137,6 +148,110 @@ TEST(CorrelatedFailure, UniformModeMatchesCatastropheSampling) {
     return world.alive_ids();
   };
   EXPECT_EQ(survivors_with(true), survivors_with(false));
+}
+
+// The lifecycle every process kind inherits from ScenarioProcess: a stop
+// makes every queued event of the process inert, a restart arms exactly
+// one fresh chain, and a destroyed process leaves only inert events
+// behind (the sanitizer build checks that none of them touches it).
+TEST(ScenarioLifecycle, EveryKindStopsRestartsAndDiesCleanly) {
+  using Make = std::function<std::unique_ptr<ScenarioProcess>(World&)>;
+  const std::vector<std::pair<const char*, Make>> kinds = {
+      {"join",
+       [](World& w) {
+         return JoinProcess::fixed(w, 4, net::NatConfig::natted(),
+                                   sim::sec(1));
+       }},
+      {"flash",
+       [](World& w) {
+         return std::make_unique<FlashCrowdProcess>(w, 3, 3, sim::sec(2));
+       }},
+      {"catastrophe",
+       [](World& w) { return std::make_unique<CatastropheProcess>(w, 0.25); }},
+      {"failure",
+       [](World& w) {
+         return std::make_unique<CorrelatedFailureProcess>(
+             w, 0.25, CorrelatedFailureProcess::Corr::Region);
+       }},
+      {"churn",
+       [](World& w) {
+         return std::make_unique<ChurnProcess>(
+             w, 0.1, net::NatConfig::open(), net::NatConfig::natted());
+       }},
+      {"eclipse",
+       [](World& w) {
+         return std::make_unique<EclipseProcess>(w, 3, sim::sec(1));
+       }},
+      {"natflap",
+       [](World& w) {
+         return std::make_unique<NatFlapProcess>(w, 0.25, sim::sec(2));
+       }},
+  };
+  // Every live node with its class: what a process may change.
+  const auto population = [](const World& w) {
+    std::vector<std::pair<net::NodeId, net::NatType>> out;
+    for (const net::NodeId id : w.alive_ids()) {
+      out.emplace_back(id, w.type_of(id));
+    }
+    return out;
+  };
+  const auto work = [](const ScenarioProcess::Stats& s) {
+    return s.spawned + s.killed + s.replaced + s.reclassified;
+  };
+  const auto make_world = [] {
+    auto w = std::make_unique<World>(fast_world_config(41),
+                                     make_croupier_factory({}));
+    populate(*w, 10, 30);
+    return w;
+  };
+  for (const auto& [name, make] : kinds) {
+    SCOPED_TRACE(name);
+
+    // Stopped before its first event: running past it changes nothing.
+    auto quiet = make_world();
+    auto process = make(*quiet);
+    process->start(sim::sec(5));
+    quiet->simulator().run_until(sim::sec(1));
+    const auto before = population(*quiet);
+    process->stop();
+    process->stop();  // idempotent
+    EXPECT_FALSE(process->running());
+    quiet->simulator().run_until(sim::sec(12));
+    EXPECT_EQ(work(process->stats()), 0u);
+    EXPECT_EQ(population(*quiet), before);
+
+    // Restarted while the stopped arming's first event is still queued
+    // at the same instant: the run must equal a process started once.
+    auto restarted = make_world();
+    auto twice = make(*restarted);
+    twice->start(sim::sec(5));
+    restarted->simulator().run_until(sim::sec(1));
+    twice->stop();
+    restarted->simulator().run_until(sim::sec(3));
+    twice->start(sim::sec(5));
+    auto reference = make_world();
+    auto once = make(*reference);
+    reference->simulator().run_until(sim::sec(3));
+    once->start(sim::sec(5));
+    restarted->simulator().run_until(sim::sec(12));
+    reference->simulator().run_until(sim::sec(12));
+    EXPECT_GT(work(once->stats()), 0u);
+    EXPECT_EQ(work(twice->stats()), work(once->stats()));
+    EXPECT_EQ(population(*restarted), population(*reference));
+
+    // Destroyed with its first event queued, and mid-run: every queued
+    // event of the process goes inert.
+    for (const sim::SimTime death : {sim::sec(4), sim::msec(5500)}) {
+      auto orphaned = make_world();
+      auto doomed = make(*orphaned);
+      doomed->start(sim::sec(5));
+      orphaned->simulator().run_until(death);
+      doomed.reset();
+      const auto at_death = population(*orphaned);
+      orphaned->simulator().run_until(sim::sec(12));
+      EXPECT_EQ(population(*orphaned), at_death);
+    }
+  }
 }
 
 // Restart contract: start() after stop() must not resurrect events of

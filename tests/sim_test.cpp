@@ -1,5 +1,5 @@
-// Tests for the discrete-event simulation kernel: event ordering,
-// cancellation, clock semantics, and the RNG streams everything else
+// Tests for the discrete-event simulation kernel: event ordering, clock
+// semantics, and the RNG streams everything else
 // depends on for determinism.
 #include <gtest/gtest.h>
 
@@ -45,47 +45,40 @@ TEST(EventQueue, EqualTimesFireInScheduleOrder) {
   EXPECT_EQ(fired, expected);
 }
 
-TEST(EventQueue, CancelPreventsFiring) {
+TEST(EventQueue, SizeTracksPendingEvents) {
   EventQueue q;
-  bool fired = false;
-  const EventId id = q.schedule(10, [&] { fired = true; });
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(fired);
-}
-
-TEST(EventQueue, CancelTwiceFails) {
-  EventQueue q;
-  const EventId id = q.schedule(10, [] {});
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));
-}
-
-TEST(EventQueue, CancelUnknownIdFails) {
-  EventQueue q;
-  EXPECT_FALSE(q.cancel(12345));
-}
-
-TEST(EventQueue, CancelledHeadIsSkipped) {
-  EventQueue q;
-  std::vector<int> fired;
-  const EventId first = q.schedule(1, [&] { fired.push_back(1); });
-  q.schedule(2, [&] { fired.push_back(2); });
-  q.cancel(first);
-  EXPECT_EQ(q.next_time(), 2u);
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(fired, std::vector<int>{2});
-}
-
-TEST(EventQueue, SizeTracksLiveEvents) {
-  EventQueue q;
-  const EventId a = q.schedule(1, [] {});
+  q.schedule(1, [] {});
   q.schedule(2, [] {});
   EXPECT_EQ(q.size(), 2u);
-  q.cancel(a);
+  q.pop();
   EXPECT_EQ(q.size(), 1u);
   q.pop();
   EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, InterleavedSchedulesAndPopsKeepTimeThenFifoOrder) {
+  // Pops interleaved with schedules of colliding timestamps: every pop
+  // must return the earliest (time, scheduling order) pair still queued.
+  EventQueue q;
+  RngStream rng(7);
+  std::set<std::pair<SimTime, int>> pending;  // (time, schedule index)
+  int next = 0;
+  for (int step = 0; step < 2000; ++step) {
+    if (pending.empty() || rng.uniform(3) != 0) {
+      const SimTime at = rng.uniform(50);
+      const int index = next++;
+      q.schedule(at, [] {});
+      pending.emplace(at, index);
+      continue;
+    }
+    // Ids are issued in scheduling order, starting at 1.
+    const auto fired = q.pop();
+    const auto [at, index] = *pending.begin();
+    ASSERT_EQ(fired.time, at);
+    ASSERT_EQ(fired.id, static_cast<EventId>(index) + 1);
+    pending.erase(pending.begin());
+  }
+  EXPECT_EQ(q.size(), pending.size());
 }
 
 TEST(Simulator, ClockAdvancesToEventTime) {
@@ -149,16 +142,6 @@ TEST(Simulator, CountsProcessedEvents) {
   for (int i = 0; i < 7; ++i) sim.schedule_after(i, [] {});
   sim.run();
   EXPECT_EQ(sim.events_processed(), 7u);
-}
-
-TEST(Simulator, CancelledEventNotProcessed) {
-  Simulator sim;
-  bool fired = false;
-  const EventId id = sim.schedule_after(10, [&] { fired = true; });
-  EXPECT_TRUE(sim.cancel(id));
-  sim.run();
-  EXPECT_FALSE(fired);
-  EXPECT_EQ(sim.events_processed(), 0u);
 }
 
 TEST(Simulator, RecurringEventPattern) {

@@ -358,23 +358,26 @@ TEST(ViewStore, NatColumnRoundTripsAllClasses) {
 }
 
 TEST(ViewStore, SlotIndexSurvivesGrowthAndErase) {
+  // Grows well past 64 slots (several reallocations of the block), so
+  // the id-column scan is exercised on views larger than any workload's.
   ViewStore<NodeDescriptor> s(2);
-  for (net::NodeId id = 1; id <= 40; ++id) {
+  for (net::NodeId id = 1; id <= 100; ++id) {
     s.reserve(static_cast<std::size_t>(id));
     s.push_back(desc(id, static_cast<std::uint16_t>(id)));
   }
-  for (net::NodeId id = 1; id <= 40; ++id) {
+  EXPECT_GT(s.reserved(), 64u);
+  for (net::NodeId id = 1; id <= 100; ++id) {
     const auto slot = s.slot_of(id);
     ASSERT_TRUE(slot.has_value()) << id;
     EXPECT_EQ(s.id_at(*slot), id);
   }
   // Erase every odd id; the evens must keep resolving.
-  for (net::NodeId id = 1; id <= 40; id += 2) {
+  for (net::NodeId id = 1; id <= 100; id += 2) {
     const auto slot = s.slot_of(id);
     ASSERT_TRUE(slot.has_value());
     s.erase_at(*slot);
   }
-  for (net::NodeId id = 1; id <= 40; ++id) {
+  for (net::NodeId id = 1; id <= 100; ++id) {
     EXPECT_EQ(s.slot_of(id).has_value(), id % 2 == 0) << id;
   }
 }

@@ -196,14 +196,18 @@ TEST(World, DifferentSeedsDiverge) {
 
 TEST(Scenario, PoissonJoinsAllArrive) {
   auto world = make_world(7);
-  schedule_poisson_joins(world, 50, net::NatConfig::natted(), sim::msec(20));
+  const auto joins =
+      JoinProcess::poisson(world, 50, net::NatConfig::natted(), sim::msec(20));
+  joins->start(0);
   world.simulator().run_until(sim::sec(30));
   EXPECT_EQ(world.alive_count(), 50u);
 }
 
 TEST(Scenario, PoissonJoinsSpreadOverTime) {
   auto world = make_world(9);
-  schedule_poisson_joins(world, 100, net::NatConfig::open(), sim::msec(100));
+  const auto joins =
+      JoinProcess::poisson(world, 100, net::NatConfig::open(), sim::msec(100));
+  joins->start(0);
   world.simulator().run_until(sim::msec(100));
   const auto early = world.alive_count();
   EXPECT_LT(early, 100u);  // not all at once
@@ -213,8 +217,9 @@ TEST(Scenario, PoissonJoinsSpreadOverTime) {
 
 TEST(Scenario, FixedJoinsExactCadence) {
   auto world = make_world(11);
-  schedule_fixed_joins(world, 10, net::NatConfig::open(), sim::msec(42),
-                       sim::sec(1));
+  const auto joins =
+      JoinProcess::fixed(world, 10, net::NatConfig::open(), sim::msec(42));
+  joins->start(sim::sec(1));
   world.simulator().run_until(sim::sec(1));
   EXPECT_EQ(world.alive_count(), 1u);  // first joins exactly at start
   world.simulator().run_until(sim::sec(1) + sim::msec(42 * 9));
@@ -224,7 +229,8 @@ TEST(Scenario, FixedJoinsExactCadence) {
 TEST(Scenario, CatastropheKillsRequestedFraction) {
   auto world = make_world(13);
   populate(world, 20, 80);
-  schedule_catastrophe(world, sim::sec(5), 0.6);
+  CatastropheProcess catastrophe(world, 0.6);
+  catastrophe.start(sim::sec(5));
   world.simulator().run_until(sim::sec(6));
   EXPECT_EQ(world.alive_count(), 40u);
 }
@@ -239,7 +245,8 @@ TEST(Scenario, ChurnKeepsPopulationAndRatioStable) {
   EXPECT_EQ(world.alive_count(), 50u);
   EXPECT_DOUBLE_EQ(world.true_ratio(), 0.2);
   // ~5% of 50 nodes over ~55 rounds.
-  EXPECT_NEAR(static_cast<double>(churn.replaced()), 0.05 * 50 * 55, 30.0);
+  EXPECT_NEAR(static_cast<double>(churn.stats().replaced), 0.05 * 50 * 55,
+              30.0);
 }
 
 TEST(Scenario, LowChurnAccumulatesFractions) {
@@ -250,8 +257,8 @@ TEST(Scenario, LowChurnAccumulatesFractions) {
   churn.start(0);
   world.simulator().run_until(sim::sec(300));
   // 0.1%/round x 20 nodes x 300 rounds = ~6 replacements.
-  EXPECT_GE(churn.replaced(), 3u);
-  EXPECT_LE(churn.replaced(), 12u);
+  EXPECT_GE(churn.stats().replaced, 3u);
+  EXPECT_LE(churn.stats().replaced, 12u);
   EXPECT_EQ(world.alive_count(), 20u);
 }
 

@@ -51,14 +51,17 @@
 //                   order relative to sibling shards is a scheduling
 //                   accident — the exact hazard the byte-identity
 //                   contract bans.
-//   naked-schedule  Simulator::schedule_after/schedule_at (or cancel)
-//                   reachable from shard context without the deferring()
-//                   guard. Inside a parallel batch schedule_impl
-//                   auto-defers and returns kInvalidEventId, so storing
-//                   or cancelling the id is broken; cancel() asserts
-//                   outright. Guard with !deferring(), route through
-//                   defer(), or waive with the reason the id is
-//                   discarded.
+//   naked-schedule  Simulator::schedule_after/schedule_at (or a cancel
+//                   member call) reachable from shard context without
+//                   the deferring() guard. Inside a parallel batch
+//                   schedule_impl auto-defers the schedule to the
+//                   replay, where the event gets its sequence number, so
+//                   a raw call hides that ordering step. The simulator
+//                   has no cancel(): an event that may be called off
+//                   carries an arming-flag guard and fires as a no-op.
+//                   Guard with !deferring(), route through defer(), or
+//                   waive with the reason the deferred schedule is
+//                   sound.
 //   rng-lineage     RngStream fork-tag audit: two forks of the same
 //                   receiver with the same literal tag yield *identical*
 //                   streams (fork hashes (lineage, tag) and nothing

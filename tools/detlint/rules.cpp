@@ -806,10 +806,9 @@ void scan_shard_body(FileScan& fs, const FunctionDef& def) {
                   std::string("Simulator::") + sched +
                       " from shard context without the deferring() guard: "
                       "inside a parallel batch the schedule is auto-"
-                      "deferred and the returned EventId is "
-                      "kInvalidEventId — guard with !deferring(), route "
-                      "through defer(), or waive stating the id is "
-                      "discarded");
+                      "deferred to the replay — guard with !deferring(), "
+                      "route through defer(), or waive stating why the "
+                      "deferred schedule is sound");
     }
   }
   for (std::size_t at = find_word(code, "cancel", def.body_begin);
@@ -825,9 +824,9 @@ void scan_shard_body(FileScan& fs, const FunctionDef& def) {
     }
     if (in_exempt_extent(fs, at)) continue;
     add_finding(fs, at, "naked-schedule",
-                "Simulator::cancel from shard context: cancel asserts "
-                "outside the serial phase — route the cancellation "
-                "through defer()");
+                "cancel from shard context: the simulator cannot cancel "
+                "events — guard the callback with an arming flag so the "
+                "stale event fires as a no-op");
   }
 }
 
