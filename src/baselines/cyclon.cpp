@@ -66,8 +66,8 @@ void Cyclon::round() {
   req.sender = pss::NodeDescriptor::self(self(), nat_type());
   req.entries = view_.random_subset(cfg_.shuffle_size - 1, rng());
 
+  if (pending_.size() == 8) pending_.erase(pending_.begin());
   pending_.push_back(Pending{target->id, req.entries});
-  while (pending_.size() > 8) pending_.pop_front();
 
   network().send(self(), target->id,
                  std::make_shared<CyclonShuffleReq>(std::move(req)));

@@ -11,7 +11,6 @@
 // exchange, swapper merge.
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -72,7 +71,7 @@ class Cyclon final : public pss::PeerSampler {
     net::NodeId target;
     std::vector<pss::NodeDescriptor> sent;
   };
-  std::deque<Pending> pending_;
+  std::vector<Pending> pending_;  // bounded FIFO, oldest first
 };
 
 }  // namespace croupier::baselines

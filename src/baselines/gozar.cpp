@@ -199,8 +199,8 @@ void Gozar::round() {
   req.nonce = next_nonce_++;
   req.entries = view_.random_subset(cfg_.base.shuffle_size - 1, rng());
 
+  if (pending_.size() == 8) pending_.erase(pending_.begin());
   pending_.push_back(Pending{target->id, req.entries});
-  while (pending_.size() > 8) pending_.pop_front();
 
   if (target->nat_type == net::NatType::Public) {
     network().send(self(), target->id,
@@ -267,8 +267,10 @@ void Gozar::handle_request(net::NodeId physical_from,
       seen_exchanges_.end()) {
     return;
   }
+  if (seen_exchanges_.size() == 32) {
+    seen_exchanges_.erase(seen_exchanges_.begin());
+  }
   seen_exchanges_.push_back(key);
-  while (seen_exchanges_.size() > 32) seen_exchanges_.pop_front();
 
   GozarShuffleRes res;
   res.responder = self();

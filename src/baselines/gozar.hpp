@@ -17,7 +17,6 @@
 // node whose cached parents all died is unreachable).
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -193,10 +192,10 @@ class Gozar final : public pss::PeerSampler {
     net::NodeId target;
     std::vector<GozarDescriptor> sent;
   };
-  std::deque<Pending> pending_;
+  std::vector<Pending> pending_;  // bounded FIFO, oldest first
 
   // Dedup window for redundant relay copies: (initiator, nonce) pairs.
-  std::deque<std::pair<net::NodeId, std::uint16_t>> seen_exchanges_;
+  std::vector<std::pair<net::NodeId, std::uint16_t>> seen_exchanges_;
   std::uint16_t next_nonce_ = 1;
 };
 

@@ -219,8 +219,8 @@ void Nylon::round() {
   req.sender = NylonDescriptor{self(), nat_type(), 0, self()};
   req.entries = view_.random_subset(cfg_.base.shuffle_size - 1, rng());
 
+  if (pending_.size() == 8) pending_.erase(pending_.begin());
   pending_.push_back(Pending{target->id, req.entries});
-  while (pending_.size() > 8) pending_.pop_front();
 
   send_shuffle(*target, std::move(req));
 }

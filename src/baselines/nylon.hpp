@@ -220,7 +220,7 @@ class Nylon final : public pss::PeerSampler {
     net::NodeId target;
     std::vector<NylonDescriptor> sent;
   };
-  std::deque<Pending> pending_;
+  std::vector<Pending> pending_;  // bounded FIFO, oldest first
 
   // Prepared shuffle requests awaiting hole-punch completion.
   struct AwaitingPunch {

@@ -111,8 +111,8 @@ void Croupier::round() {
       is_public ? pri_budget : (pri_budget > 0 ? pri_budget - 1 : 0), rng());
   req.estimates = estimator_.share(rng());
 
+  if (pending_.size() == 8) pending_.erase(pending_.begin());
   pending_.push_back(PendingShuffle{target->id, req.pub, req.pri});
-  while (pending_.size() > 8) pending_.pop_front();
 
   network().send(self(), target->id,
                  std::make_shared<CroupierShuffleReq>(std::move(req)));

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -126,13 +125,14 @@ class Croupier final : public pss::PeerSampler {
   RatioEstimator estimator_;
 
   // Subsets shipped in still-unanswered requests, keyed by target; needed
-  // for the swapper merge when the response arrives. Bounded FIFO.
+  // for the swapper merge when the response arrives. Bounded FIFO, oldest
+  // first: a vector, as an empty std::deque already allocates ~600 B.
   struct PendingShuffle {
     net::NodeId target;
     std::vector<pss::NodeDescriptor> sent_pub;
     std::vector<pss::NodeDescriptor> sent_pri;
   };
-  std::deque<PendingShuffle> pending_;
+  std::vector<PendingShuffle> pending_;
   std::uint64_t rebootstraps_ = 0;
 };
 

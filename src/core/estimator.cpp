@@ -91,16 +91,21 @@ void RatioEstimator::begin_round() {
 
   // Roll the finished round's counters into the local history window
   // (Algorithm 2 lines 9-11) and keep the windowed sums incremental.
-  history_.emplace_back(round_pub_hits_, round_priv_hits_);
-  window_pub_ += round_pub_hits_;
-  window_priv_ += round_priv_hits_;
+  const std::pair round{round_pub_hits_, round_priv_hits_};
+  window_pub_ += round.first;
+  window_priv_ += round.second;
   round_pub_hits_ = 0;
   round_priv_hits_ = 0;
-  while (history_.size() > cfg_.local_history) {
-    window_pub_ -= history_.front().first;
-    window_priv_ -= history_.front().second;
-    history_.pop_front();
+  if (history_.size() < cfg_.local_history) {
+    if (history_.empty()) history_.reserve(cfg_.local_history);
+    history_.push_back(round);
+    return;
   }
+  auto& oldest = history_[history_next_];
+  window_pub_ -= oldest.first;
+  window_priv_ -= oldest.second;
+  oldest = round;
+  history_next_ = (history_next_ + 1) % history_.size();
 }
 
 void RatioEstimator::count_request(net::NatType sender_type) {

@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -119,8 +118,10 @@ class RatioEstimator {
   // Hit counters for the in-progress round (c_u, c_v).
   std::uint32_t round_pub_hits_ = 0;
   std::uint32_t round_priv_hits_ = 0;
-  // Per-round history, newest at the back, bounded to α entries (C_u, C_v).
-  std::deque<std::pair<std::uint32_t, std::uint32_t>> history_;
+  // Per-round history (C_u, C_v): a ring of the last α rounds, allocated
+  // at the first round; once full, history_[history_next_] is the oldest.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> history_;
+  std::size_t history_next_ = 0;
   // Windowed sums kept incrementally.
   std::uint64_t window_pub_ = 0;
   std::uint64_t window_priv_ = 0;

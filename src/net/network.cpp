@@ -10,6 +10,30 @@
 
 namespace croupier::net {
 
+namespace {
+
+// A (from, to) pair packed into one Call argument.
+std::uint64_t route(NodeId from, NodeId to) {
+  return (std::uint64_t{from} << 32) | to;
+}
+NodeId route_from(std::uint64_t r) { return static_cast<NodeId>(r >> 32); }
+NodeId route_to(std::uint64_t r) { return static_cast<NodeId>(r); }
+
+}  // namespace
+
+/// A fragmented message between its split on the sender's shard and the
+/// serial half that stamps its msg_id.
+struct Network::OutgoingFragments {
+  MessagePtr msg;
+  std::vector<Fragment> frags;
+};
+
+/// One fragment in flight: what a fragment-delivery event carries.
+struct Network::FragmentDelivery {
+  MessagePtr msg;
+  Fragment frag;
+};
+
 Network::Network(sim::Simulator& simulator,
                  std::unique_ptr<LatencyModel> latency, sim::RngStream rng,
                  std::unique_ptr<LossModel> loss)
@@ -120,23 +144,37 @@ void Network::send(NodeId from, NodeId to, MessagePtr msg) {
       finish_send_fragments(from, to, std::move(msg), std::move(frags));
       return;
     }
-    simulator_.defer([this, from, to, msg = std::move(msg),
-                      frags = std::move(frags)]() mutable {
-      finish_send_fragments(from, to, std::move(msg), std::move(frags));
-    });
+    simulator_.defer(sim::Call::to<&Network::send_fragments_op>(
+        this, route(from, to), 0,
+        std::make_shared<OutgoingFragments>(
+            OutgoingFragments{std::move(msg), std::move(frags)})));
     return;
   }
 
   const std::size_t bytes = wire_bytes + kUdpIpHeaderBytes;
   if (!simulator_.deferring()) {
-    // Sequential engine (or serial-affinity event): no closure, no
-    // allocation — the pre-parallel-engine hot path unchanged.
+    // Sequential engine (or serial-affinity event): no deferred op — the
+    // pre-parallel-engine hot path unchanged.
     finish_send(from, to, std::move(msg), bytes);
     return;
   }
-  simulator_.defer([this, from, to, msg = std::move(msg), bytes]() mutable {
-    finish_send(from, to, std::move(msg), bytes);
-  });
+  simulator_.defer(sim::Call::to<&Network::send_op>(this, route(from, to),
+                                                    bytes, std::move(msg)));
+}
+
+void Network::send_op(sim::Call& op) {
+  finish_send(route_from(op.a), route_to(op.a),
+              std::static_pointer_cast<const Message>(std::move(op.payload)),
+              op.b);
+}
+
+void Network::send_fragments_op(sim::Call& op) {
+  // send() built this payload non-const and this op is its only owner,
+  // so the fragments may be moved out.
+  auto& out = *static_cast<OutgoingFragments*>(
+      const_cast<void*>(op.payload.get()));
+  finish_send_fragments(route_from(op.a), route_to(op.a), std::move(out.msg),
+                        std::move(out.frags));
 }
 
 NatType Network::class_or_public(NodeId id) const {
@@ -182,11 +220,9 @@ void Network::finish_send(NodeId from, NodeId to, MessagePtr msg,
   const sim::Duration delay = queue_delay + latency_->sample(from, to, rng_);
   const sim::Affinity affinity =
       delivery_affinity_ ? delivery_affinity_(to, *msg) : sim::kSerialAffinity;
-  simulator_.schedule_after(
-      delay, affinity,
-      [this, from, to, msg = std::move(msg), bytes]() mutable {
-        deliver(from, to, std::move(msg), bytes);
-      });
+  simulator_.post_after(delay, affinity,
+                        sim::Call::to<&Network::deliver_event>(
+                            this, route(from, to), bytes, std::move(msg)));
 }
 
 void Network::finish_send_fragments(NodeId from, NodeId to, MessagePtr msg,
@@ -211,22 +247,29 @@ void Network::finish_send_fragments(NodeId from, NodeId to, MessagePtr msg,
     }
     const sim::Duration delay =
         queue_delay + latency_->sample(from, to, rng_);
-    simulator_.schedule_after(
+    simulator_.post_after(
         delay, affinity,
-        [this, from, to, msg, frag = std::move(frag), bytes]() mutable {
-          deliver_fragment(from, to, std::move(msg), std::move(frag), bytes);
-        });
+        sim::Call::to<&Network::fragment_event>(
+            this, route(from, to), bytes,
+            std::make_shared<const FragmentDelivery>(
+                FragmentDelivery{msg, std::move(frag)})));
   }
 }
 
 template <Network::Count What>
 void Network::count(NodeId to, std::uint32_t n) {
   if (!simulator_.deferring()) {
-    // Sequential engine (or serial-affinity event): no closure.
+    // Sequential engine (or serial-affinity event): no deferred op.
     apply(What, to, n);
   } else {
-    simulator_.defer([this, to, n] { apply(What, to, n); });
+    simulator_.defer(sim::Call::to<&Network::count_op>(
+        this, (static_cast<std::uint64_t>(What) << 32) | to, n));
   }
+}
+
+void Network::count_op(sim::Call& op) {
+  apply(static_cast<Count>(op.a >> 32), static_cast<NodeId>(op.a),
+        static_cast<std::uint32_t>(op.b));
 }
 
 void Network::apply(Count what, NodeId to, std::uint32_t n) {
@@ -282,16 +325,30 @@ Network::NodeState* Network::admit(NodeId from, NodeId to,
   return node;
 }
 
-void Network::deliver(NodeId from, NodeId to, MessagePtr msg,
+void Network::deliver_event(sim::Call& ev) {
+  deliver(route_from(ev.a), route_to(ev.a),
+          *static_cast<const Message*>(ev.payload.get()), ev.b);
+}
+
+void Network::fragment_event(sim::Call& ev) {
+  const auto& d = *static_cast<const FragmentDelivery*>(ev.payload.get());
+  deliver_fragment(route_from(ev.a), route_to(ev.a), d.msg, d.frag, ev.b);
+}
+
+void Network::expire_event(sim::Call& ev) {
+  expire_assembly(static_cast<NodeId>(ev.a), ev.b);
+}
+
+void Network::deliver(NodeId from, NodeId to, const Message& msg,
                       std::size_t bytes) {
   NodeState* node = admit(from, to, bytes, /*fragment=*/false);
   if (node == nullptr) return;
   sim::conflict::record_write(to, "Network: receiver handler dispatch");
-  node->handler->on_message(from, *msg);
+  node->handler->on_message(from, msg);
 }
 
-void Network::deliver_fragment(NodeId from, NodeId to, MessagePtr msg,
-                               Fragment frag, std::size_t bytes) {
+void Network::deliver_fragment(NodeId from, NodeId to, const MessagePtr& msg,
+                               const Fragment& frag, std::size_t bytes) {
   NodeState* node = admit(from, to, bytes, /*fragment=*/true);
   if (node == nullptr) return;
 
@@ -317,9 +374,9 @@ void Network::deliver_fragment(NodeId from, NodeId to, MessagePtr msg,
     // un-guarded: schedule_impl auto-defers it when this delivery runs
     // inside a parallel batch, and the event is harmless to replay late
     // (expire_assembly tolerates a completed entry).
-    simulator_.schedule_after(
+    simulator_.post_after(
         packet_.reassembly_timeout, affinity,
-        [this, to, msg_id] { expire_assembly(to, msg_id); });
+        sim::Call::to<&Network::expire_event>(this, to, msg_id));
   }
   if (it->second.frags.add(frag.header, frag.payload)) {
     // This fragment completed the message: reconstruct the bytes (the

@@ -193,12 +193,25 @@ class Network {
   /// runs the per-datagram pipeline for every fragment.
   void finish_send_fragments(NodeId from, NodeId to, MessagePtr msg,
                              std::vector<Fragment> frags);
-  void deliver(NodeId from, NodeId to, MessagePtr msg, std::size_t bytes);
-  void deliver_fragment(NodeId from, NodeId to, MessagePtr msg,
-                        Fragment frag, std::size_t bytes);
+  void deliver(NodeId from, NodeId to, const Message& msg,
+               std::size_t bytes);
+  void deliver_fragment(NodeId from, NodeId to, const MessagePtr& msg,
+                        const Fragment& frag, std::size_t bytes);
   /// Reassembly GC: drops the entry for (to, msg_id); counts its
   /// fragments as expired when the message never completed.
   void expire_assembly(NodeId to, std::uint64_t msg_id);
+
+  // Typed event and deferred-op bodies (sim::Call): each unpacks its
+  // arguments — a packed (from, to) route, a byte count, the message in
+  // the payload — and runs the step above of the same name.
+  struct OutgoingFragments;
+  struct FragmentDelivery;
+  void send_op(sim::Call& op);
+  void send_fragments_op(sim::Call& op);
+  void count_op(sim::Call& op);
+  void deliver_event(sim::Call& ev);
+  void fragment_event(sim::Call& ev);
+  void expire_event(sim::Call& ev);
 
   /// Receiver-side checks of deliver and deliver_fragment: the live
   /// receiver whose NAT admits `from`, with the datagram counted as
@@ -217,9 +230,8 @@ class Network {
     Reassembled,
     Expired,
   };
-  /// Applies `What` now, or defers it out of a parallel batch. A template
-  /// argument, so the closure is [this, to, n]: 16 bytes, inside
-  /// std::function's inline buffer.
+  /// Applies `What` now, or defers it out of a parallel batch as a typed
+  /// op.
   template <Count What>
   void count(NodeId to, std::uint32_t n);
   void apply(Count what, NodeId to, std::uint32_t n);

@@ -41,15 +41,14 @@ Recorder::Recorder(World& world, sim::Duration interval,
 }
 
 void Recorder::start(sim::SimTime at) {
-  CROUPIER_ASSERT(!running_);
-  running_ = true;
-  world_.simulator().schedule_at(at, [this] { tick(); });
+  arming_.arm();
+  world_.simulator().schedule_at(at, arming_.guard([this] { tick(); }));
 }
 
 void Recorder::tick() {
-  if (!running_) return;
   record_sample();
-  world_.simulator().schedule_after(interval_, [this] { tick(); });
+  world_.simulator().schedule_after(interval_,
+                                    arming_.guard([this] { tick(); }));
 }
 
 EstimationRecorder::EstimationRecorder(World& world, Options opt)

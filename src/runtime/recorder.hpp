@@ -22,6 +22,7 @@
 #include "metrics/estimation.hpp"
 #include "metrics/randomness.hpp"
 #include "metrics/streaming.hpp"
+#include "runtime/arming.hpp"
 #include "runtime/world.hpp"
 
 namespace croupier::run {
@@ -49,7 +50,9 @@ struct ColumnTable {
 };
 
 /// A periodic sampler on the simulation clock: the first sample at
-/// start(at), then one every interval while the simulation runs.
+/// start(at), then one every interval until stop(). Its ticks are
+/// guarded like a scenario process's events: a stopped, restarted or
+/// destroyed recorder's queued tick fires as a no-op.
 class Recorder {
  public:
   Recorder(World& world, sim::Duration interval,
@@ -58,8 +61,11 @@ class Recorder {
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
 
+  /// Arms the tick chain at `at`. Must not be running; a stopped
+  /// recorder may be started again and appends to the same series.
   void start(sim::SimTime at);
-  void stop() { running_ = false; }
+  void stop() { arming_.disarm(); }
+  [[nodiscard]] bool running() const { return arming_.armed(); }
   [[nodiscard]] sim::Duration interval() const { return interval_; }
 
   /// The value columns, in output order.
@@ -78,7 +84,7 @@ class Recorder {
 
   sim::Duration interval_;
   std::span<const Column> columns_;
-  bool running_ = false;
+  Arming arming_;
 };
 
 /// A Recorder keeping one Point per sample.

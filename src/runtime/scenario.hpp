@@ -22,9 +22,9 @@
 //    are most fragile (PeerSwap, arXiv:2408.03829).
 //
 // The lifecycle lives in the base class, once: start() installs a fresh
-// arming flag and calls the process's arm(); stop() and the destructor
-// clear the flag. Every event a process schedules goes through the
-// guarded_at/guarded_after helpers, so an event queued by a stopped,
+// arming (runtime/arming.hpp) and calls the process's arm(); stop() and
+// the destructor end it. Every event a process schedules goes through
+// the guarded_at/guarded_after helpers, so an event queued by a stopped,
 // restarted or destroyed process fires as a no-op (the event queue has
 // no cancellation).
 //
@@ -40,8 +40,8 @@
 #include <utility>
 #include <vector>
 
-#include "common/assert.hpp"
 #include "net/nat.hpp"
+#include "runtime/arming.hpp"
 #include "runtime/world.hpp"
 
 namespace croupier::run {
@@ -52,7 +52,7 @@ namespace croupier::run {
 class ScenarioProcess {
  public:
   explicit ScenarioProcess(World& world) : world_(world) {}
-  virtual ~ScenarioProcess() { stop(); }
+  virtual ~ScenarioProcess() = default;
 
   ScenarioProcess(const ScenarioProcess&) = delete;
   ScenarioProcess& operator=(const ScenarioProcess&) = delete;
@@ -61,19 +61,16 @@ class ScenarioProcess {
   /// process is running; a stopped process may be started again and
   /// resumes its remaining work.
   void start(sim::SimTime at) {
-    CROUPIER_ASSERT(!running());
-    armed_ = std::make_shared<bool>(true);
+    arming_.arm();
     arm(at);
   }
 
   /// Halts the process immediately and idempotently: no node is spawned,
   /// killed or replaced by this process after stop() returns, including
   /// by events already sitting in the event queue.
-  void stop() {
-    if (armed_) *armed_ = false;
-  }
+  void stop() { arming_.disarm(); }
 
-  [[nodiscard]] bool running() const { return armed_ && *armed_; }
+  [[nodiscard]] bool running() const { return arming_.armed(); }
 
   /// Lifetime totals of what the process did to the population.
   struct Stats {
@@ -92,25 +89,18 @@ class ScenarioProcess {
   /// has not been stopped, restarted or destroyed in the meantime.
   template <typename Fn>
   void guarded_at(sim::SimTime at, Fn fn) {
-    world_.simulator().schedule_at(at, guard(std::move(fn)));
+    world_.simulator().schedule_at(at, arming_.guard(std::move(fn)));
   }
   template <typename Fn>
   void guarded_after(sim::Duration delay, Fn fn) {
-    world_.simulator().schedule_after(delay, guard(std::move(fn)));
+    world_.simulator().schedule_after(delay, arming_.guard(std::move(fn)));
   }
 
   World& world_;
   Stats stats_;
 
  private:
-  template <typename Fn>
-  auto guard(Fn fn) {
-    return [armed = armed_, fn = std::move(fn)]() mutable {
-      if (*armed) fn();
-    };
-  }
-
-  std::shared_ptr<bool> armed_;  // shared with every queued event
+  Arming arming_;
 };
 
 /// Poisson or fixed-interval join process.

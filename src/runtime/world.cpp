@@ -209,8 +209,13 @@ void World::start_pss(NodeRuntime& node) {
       node.rng.next_double() * static_cast<double>(cfg_.round_period));
   const net::NodeId id = node.id;
   const std::uint32_t epoch = node.round_epoch;
-  sim_.schedule_after(phase, static_cast<sim::Affinity>(id),
-                      [this, id, epoch] { schedule_round(id, epoch); });
+  sim_.post_after(phase, static_cast<sim::Affinity>(id),
+                  sim::Call::to<&World::round_event>(this, id, epoch));
+}
+
+void World::round_event(sim::Call& ev) {
+  schedule_round(static_cast<net::NodeId>(ev.a),
+                 static_cast<std::uint32_t>(ev.b));
 }
 
 void World::schedule_round(net::NodeId id, std::uint32_t epoch) {
@@ -228,8 +233,8 @@ void World::schedule_round(net::NodeId id, std::uint32_t epoch) {
   // detlint:allow(naked-schedule) the round re-arm needs no guard: the
   // chain is torn down via the epoch check, and schedule_impl
   // auto-defers it when this runs inside a parallel batch.
-  sim_.schedule_after(period, static_cast<sim::Affinity>(id),
-                      [this, id, epoch] { schedule_round(id, epoch); });
+  sim_.post_after(period, static_cast<sim::Affinity>(id),
+                  sim::Call::to<&World::round_event>(this, id, epoch));
 }
 
 void World::reclassify(net::NodeId id, const net::NatConfig& nat) {

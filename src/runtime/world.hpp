@@ -197,6 +197,8 @@ class World {
   net::NodeId spawn_impl(const net::NatConfig& nat, bool skip_natid);
   void start_pss(NodeRuntime& node);
   void schedule_round(net::NodeId id, std::uint32_t epoch);
+  /// The round timer's typed body: a = node id, b = round epoch.
+  void round_event(sim::Call& ev);
   void start_natid(NodeRuntime& node);
 
   Config cfg_;

@@ -51,8 +51,9 @@ ParallelExecutor::ParallelExecutor(Simulator& sim, Options options)
     : sim_(sim),
       jobs_(std::max<std::size_t>(1, options.jobs)),
       lookahead_(std::max<Duration>(1, options.lookahead)),
-      buckets_(jobs_ * kBucketsPerWorker),
+      runs_(jobs_ * kBucketsPerWorker),
       logs_(jobs_) {
+  sim_.queue_.set_buckets(runs_.size());
   for (auto& log : logs_) log.owner = &sim_;
   workers_.reserve(jobs_ - 1);
   for (std::size_t log = 1; log < jobs_; ++log) {
@@ -69,100 +70,121 @@ ParallelExecutor::~ParallelExecutor() {
 
 void ParallelExecutor::run_until(SimTime deadline) {
   EventQueue& q = sim_.queue_;
-  while (!q.empty() && q.next_time() <= deadline) {
-    if (q.next_affinity() == kSerialAffinity) {
+  for (;;) {
+    mark_ = wall_seconds();
+    EventQueue::Key head = EventQueue::kNoKey;
+    for (std::size_t b = 0; b < runs_.size(); ++b) {
+      head = std::min(head, q.bucket_head(b));
+    }
+    const EventQueue::Key serial = q.serial_head();
+    if (serial < head) {
+      if (serial.time > deadline) break;
       // Serial events are synchronization barriers: everything before
       // them has replayed, so they observe exactly the sequential state.
-      sim_.step();
+      auto ev = q.pop();
+      sim_.run_event(ev);
       ++stats_.serial_events;
       continue;
     }
+    if (head == EventQueue::kNoKey || head.time > deadline) break;
 
-    // Drain the maximal (time, seq)-ordered run of node-affine events
-    // inside the causal window. Stopping at the first serial event keeps
-    // the run a strict prefix of the sequential execution order.
-    mark_ = wall_seconds();
-    const SimTime t0 = q.next_time();
-    const SimTime wend = std::min(t0 + lookahead_, deadline + 1);
-    batch_.clear();
-    while (!q.empty() && q.next_time() < wend &&
-           q.next_affinity() != kSerialAffinity) {
-      batch_.push_back(q.pop());
-    }
-    CROUPIER_ASSERT(!batch_.empty());
-
-    if (batch_.size() == 1) {
-      // A lone event's deferred effects would replay immediately after it
-      // in issue order anyway (and nothing it runs can observe the
-      // difference — that is the defer() contract), so execute it like
-      // Simulator::step() and skip the worker handoff.
-      lap(stats_.drain_s);
-      auto& ev = batch_.front();
-      sim_.now_ = ev.time;
-      ++sim_.processed_;
-      ++stats_.serial_events;
-      ev.fn();
-      continue;
-    }
-    // Bucket by node; a stable pass, so each bucket is in batch order.
-    for (auto& bucket : buckets_) bucket.clear();
-    for (std::uint32_t i = 0; i < batch_.size(); ++i) {
-      buckets_[shard_of(batch_[i].affinity, buckets_.size())].push_back(i);
-    }
+    // The batch: every node-affine event inside the causal window that
+    // the sequential engine would run before the next serial event — a
+    // strict prefix of the sequential execution order.
+    const EventQueue::Key limit =
+        std::min({EventQueue::Key{head.time + lookahead_, 0},
+                  EventQueue::Key{deadline + 1, 0}, serial});
     live_.clear();
-    for (std::uint32_t b = 0; b < buckets_.size(); ++b) {
-      if (!buckets_[b].empty()) live_.push_back(b);
+    for (std::uint32_t b = 0; b < runs_.size(); ++b) {
+      if (q.bucket_head(b) < limit) live_.push_back(b);
     }
+    CROUPIER_ASSERT(!live_.empty());
     lap(stats_.drain_s);
-    execute_batch();
+    execute_batch(limit);
   }
   if (sim_.now_ < deadline) sim_.now_ = deadline;
 }
 
-void ParallelExecutor::execute_batch() {
-  ++stats_.batches;
-  stats_.batched_events += batch_.size();
-  stats_.max_batch = std::max<std::uint64_t>(stats_.max_batch, batch_.size());
-  const SimTime last_time = batch_.back().time;  // batch_ is (time, seq)-sorted
-  op_ranges_.resize(batch_.size());
-
+void ParallelExecutor::execute_batch(EventQueue::Key limit) {
   // Publish: the release store of unclaimed_ hands the batch state to
-  // every thread that claims a bucket from it.
+  // every thread that claims a bucket from it. A batch held by one
+  // bucket wakes nobody: the engine thread claims it itself.
+  limit_ = limit;
   const auto count = static_cast<std::int32_t>(live_.size());
   outstanding_.store(count, std::memory_order_relaxed);
   unclaimed_.store(count, std::memory_order_release);
-  generation_.fetch_add(1, std::memory_order_release);
-  generation_.notify_all();
+  if (count > 1) {
+    generation_.fetch_add(1, std::memory_order_release);
+    generation_.notify_all();
+  }
   const std::int32_t ran = run_buckets(0);
   lap(stats_.execute_s);
   if (outstanding_.fetch_sub(ran, std::memory_order_acq_rel) != ran) {
     await(outstanding_, [](std::int32_t left) { return left == 0; });
   }
   lap(stats_.wait_s);
+  replay();
+  lap(stats_.replay_s);
+}
+
+void ParallelExecutor::replay() {
+  std::uint64_t events = 0;
+  SimTime last_time = 0;
+  merge_.clear();
+  for (const std::uint32_t b : live_) {
+    const Run& run = runs_[b];
+    events += run.events;
+    last_time = std::max(last_time, run.last_time);
+    if (!run.records.empty()) {
+      const Record& first = run.records.front();
+      merge_.push_back({{first.time, first.id}, b, 0});
+    }
+  }
+  ++stats_.batches;
+  stats_.batched_events += events;
+  stats_.max_batch = std::max(stats_.max_batch, events);
+  sim_.processed_ += events;
 
   // Deterministic replay: every deferred effect in the order the
   // sequential engine would have produced it — by issuing event, in
-  // batch (time, seq) order, then issue order within the event.
+  // (time, id) order across the buckets, then issue order within the
+  // event. Each bucket's records are already in (time, id) order, so a
+  // k-way merge over the buckets orders the batch.
   // Determinism bound: a deferred schedule at or after the batch's last
   // event time gets a fresh id that sorts after every executed event, so
   // the sequential engine would run it in the same place (a same-time
   // target just forms the next batch). Only a target *before* last_time
   // would reorder history — that is what the assert catches. With
-  // lookahead <= min_latency targets land at >= wend anyway; the floor
-  // also keeps the degenerate zero-min-latency same-timestamp batches
-  // (lookahead clamped to 1 us) working instead of tripping the guard.
-  sim_.processed_ += batch_.size();
+  // lookahead <= min_latency targets land at >= the window end anyway;
+  // the floor also keeps the degenerate zero-min-latency same-timestamp
+  // batches (lookahead clamped to 1 us) working instead of tripping the
+  // guard.
   sim_.causal_floor_ = last_time;
-  for (std::size_t i = 0; i < batch_.size(); ++i) {
-    const OpRange& range = op_ranges_[i];
-    auto& ops = logs_[range.log].ops;
-    sim_.now_ = batch_[i].time;
-    for (std::uint32_t op = range.begin; op < range.end; ++op) ops[op]();
+  const auto later = [](const Cursor& x, const Cursor& y) {
+    return y.key < x.key;
+  };
+  std::make_heap(merge_.begin(), merge_.end(), later);
+  while (!merge_.empty()) {
+    std::pop_heap(merge_.begin(), merge_.end(), later);
+    Cursor& cursor = merge_.back();
+    const Run& run = runs_[cursor.bucket];
+    const Record& record = run.records[cursor.next];
+    auto& ops = logs_[run.log].ops;
+    sim_.now_ = record.time;
+    for (std::uint32_t op = record.begin; op < record.end; ++op) {
+      sim_.apply(ops[op]);
+    }
+    if (++cursor.next < run.records.size()) {
+      const Record& next = run.records[cursor.next];
+      cursor.key = {next.time, next.id};
+      std::push_heap(merge_.begin(), merge_.end(), later);
+    } else {
+      merge_.pop_back();
+    }
   }
   sim_.causal_floor_ = 0;
   sim_.now_ = last_time;
   for (auto& log : logs_) log.ops.clear();
-  lap(stats_.replay_s);
 }
 
 void ParallelExecutor::lap(double& phase) {
@@ -174,21 +196,29 @@ void ParallelExecutor::lap(double& phase) {
 std::int32_t ParallelExecutor::run_buckets(std::size_t log_index) {
   Simulator::ShardLog& log = logs_[log_index];
   Simulator::bind_shard_log(&log);
+  EventQueue& q = sim_.queue_;
+  EventQueue::Event ev{};
   std::int32_t ran = 0;
   // A claim that finds unclaimed_ <= 0 (batch taken, or not yet
   // published) takes nothing; the next publish resets the counter.
   for (std::int32_t left;
        (left = unclaimed_.fetch_sub(1, std::memory_order_acq_rel)) > 0;
        ++ran) {
-    for (const std::uint32_t i : buckets_[live_[left - 1]]) {
-      auto& ev = batch_[i];
+    const std::uint32_t bucket = live_[left - 1];
+    Run& run = runs_[bucket];
+    run.log = static_cast<std::uint32_t>(log_index);
+    run.records.clear();
+    run.events = 0;
+    while (q.pop_below(bucket, limit_, ev)) {
       const auto begin = static_cast<std::uint32_t>(log.ops.size());
       log.current_time = ev.time;
       conflict::begin_shard_event(ev.affinity);
-      ev.fn();
+      ev.call();
       conflict::end_shard_event();
-      op_ranges_[i] = {static_cast<std::uint32_t>(log_index), begin,
-                       static_cast<std::uint32_t>(log.ops.size())};
+      const auto end = static_cast<std::uint32_t>(log.ops.size());
+      ++run.events;
+      run.last_time = ev.time;
+      if (end != begin) run.records.push_back({ev.time, ev.id, begin, end});
     }
   }
   Simulator::bind_shard_log(nullptr);

@@ -9,26 +9,31 @@
 // a conservative-lookahead PDES window, degenerating to "all events
 // sharing a timestamp" when the lookahead is one microsecond.
 //
-// The loop:
-//   1. If the head event is serial-affinity (scenario joins/kills,
+// The queue's node-affine events live in jobs × kBucketsPerWorker heaps,
+// split by a stable hash of the node id (shard_of), so one node's events
+// share a heap; serial events have a heap of their own. The loop:
+//   1. If the earliest event is serial-affinity (scenario joins/kills,
 //      recorders, NAT identification), execute it exactly like the
 //      sequential engine — serial events are synchronization barriers.
-//   2. Otherwise drain the maximal run of node-affine events with
-//      time < head_time + lookahead (stopping at any serial event) in
-//      (time, seq) order and split it into buckets by a stable hash of
-//      the node id, so one node's events share a bucket in (time, seq)
-//      order. The engine thread and the workers claim buckets from one
-//      atomic counter until none is left. Per-node state is touched only
+//   2. Otherwise a batch is every node-affine event whose (time, id) key
+//      is below min((head_time + lookahead, 0), (deadline + 1, 0),
+//      serial head): the maximal run of node-affine events the
+//      sequential engine would execute next, stopping at the first
+//      serial event. The engine thread reads only the bucket heads to
+//      find the buckets holding some of it. The engine thread and the
+//      workers claim those buckets from one atomic counter until none is
+//      left; a thread pops its bucket's events below the limit in
+//      (time, id) order and runs them. Per-node state is touched only
 //      by its own bucket; every cross-node effect (network sends, meter
 //      charges, RNG draws, event scheduling) is deferred into the
-//      running thread's log via Simulator::defer(), and each event
-//      records the range of log entries it issued.
-//   3. Replay: walk the batch in (time, seq) order and run each event's
-//      logged effects on the engine thread — exactly the order the
-//      sequential engine would have applied them in. Event ids assigned
-//      during the replay (message deliveries, next-round timers) come out
-//      in the same order as under the sequential engine, so future
-//      batches tie-break identically.
+//      running thread's log as a typed op via Simulator::defer(), and
+//      each event records {time, id, its range of log ops}.
+//   3. Replay: merge the buckets' records in (time, id) order and apply
+//      each event's logged ops on the engine thread — exactly the order
+//      the sequential engine would have applied them in. Event ids
+//      assigned during the replay (message deliveries, next-round
+//      timers) come out in the same order as under the sequential
+//      engine, so future batches tie-break identically.
 //
 // Waiting threads spin a bounded number of polls, then park in
 // std::atomic::wait, so idle workers hold no core.
@@ -44,19 +49,11 @@
 #include <thread>
 #include <vector>
 
-#include "sim/rng.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 namespace croupier::sim {
-
-/// Stable bucket assignment: which of `buckets` buckets holds the events
-/// for `affinity`. A pure function of (affinity, buckets) so partitioning
-/// can never depend on scheduling history.
-inline std::size_t shard_of(Affinity affinity, std::size_t buckets) {
-  std::uint64_t s = affinity;
-  return static_cast<std::size_t>(splitmix64(s) % buckets);
-}
 
 class ParallelExecutor {
  public:
@@ -89,10 +86,11 @@ class ParallelExecutor {
   struct Stats {
     std::uint64_t batches = 0;        ///< parallel batches executed
     std::uint64_t batched_events = 0; ///< events executed inside batches
-    std::uint64_t serial_events = 0;  ///< events executed serially
+    std::uint64_t serial_events = 0;  ///< serial-affinity events
     std::uint64_t max_batch = 0;      ///< largest single batch
-    double drain_s = 0.0;    ///< popping node-affine runs, bucketing
+    double drain_s = 0.0;    ///< reading bucket heads: the batch limit
     double execute_s = 0.0;  ///< publishing, the engine thread's buckets
+                             ///< (their pops included)
     double wait_s = 0.0;     ///< waiting for workers' last buckets
     double replay_s = 0.0;   ///< replaying deferred effects
 
@@ -115,15 +113,36 @@ class ParallelExecutor {
   /// ~60-event batch, few enough that a bucket holds a couple of events.
   static constexpr std::size_t kBucketsPerWorker = 8;
 
-  /// The log entries one batched event issued: logs_[log].ops[begin, end).
-  struct OpRange {
-    std::uint32_t log, begin, end;
+  /// One executed event: its key and the log ops it issued,
+  /// logs_[run.log].ops[begin, end). Events that issued none are only
+  /// counted.
+  struct Record {
+    SimTime time;
+    EventId id;
+    std::uint32_t begin, end;
+  };
+  /// What one claimed bucket ran in the current batch, in (time, id)
+  /// order; on its own cache lines, as threads fill runs concurrently.
+  struct alignas(64) Run {
+    std::vector<Record> records;
+    std::uint32_t log = 0;
+    std::uint32_t events = 0;
+    SimTime last_time = 0;
+  };
+  /// Replay merge position in one bucket's records.
+  struct Cursor {
+    EventQueue::Key key;
+    std::uint32_t bucket, next;
   };
 
-  void execute_batch();
-  /// Claims buckets until none is left, running their events into
-  /// logs_[log]. Returns how many buckets it ran.
+  /// Runs the batch of every node-affine event below `limit`, held by
+  /// the buckets in live_.
+  void execute_batch(EventQueue::Key limit);
+  /// Claims buckets until none is left, popping and running their events
+  /// below limit_ into logs_[log]. Returns how many buckets it ran.
   std::int32_t run_buckets(std::size_t log);
+  /// Applies every recorded event's ops in (time, id) order.
+  void replay();
   void worker_loop(std::size_t log);
   /// Adds the wall time since the last mark to `phase`; marks now.
   void lap(double& phase);
@@ -134,12 +153,13 @@ class ParallelExecutor {
   Stats stats_;
   double mark_ = 0.0;  // wall seconds at the last phase boundary
 
-  // Batch state, reused across batches: the events in (time, seq) order,
-  // each bucket's batch indices, the non-empty buckets, each event's ops.
-  std::vector<EventQueue::Fired> batch_;
-  std::vector<std::vector<std::uint32_t>> buckets_;
+  // Batch state, reused across batches: the key every batched event is
+  // below, the buckets holding some, what each bucket ran, the replay
+  // merge and the per-thread logs.
+  EventQueue::Key limit_{};
   std::vector<std::uint32_t> live_;
-  std::vector<OpRange> op_ranges_;
+  std::vector<Run> runs_;  // by bucket
+  std::vector<Cursor> merge_;
   std::vector<Simulator::ShardLog> logs_;  // [0] engine thread, [w] worker w
 
   // Handoff. The engine publishes a batch by storing unclaimed_ (release)

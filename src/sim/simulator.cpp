@@ -20,60 +20,99 @@ SimTime Simulator::now() const {
   return log != nullptr ? log->current_time : now_;
 }
 
-void Simulator::schedule_after(Duration delay, Affinity affinity,
-                               EventQueue::Callback fn) {
-  schedule_impl(now() + delay, affinity, std::move(fn), /*check_past=*/false);
+void Simulator::post_after(Duration delay, Affinity affinity, Call call) {
+  schedule_impl(now() + delay, affinity, std::move(call));
 }
 
-void Simulator::schedule_at(SimTime at, Affinity affinity,
-                            EventQueue::Callback fn) {
-  schedule_impl(at, affinity, std::move(fn), /*check_past=*/true);
+void Simulator::post_at(SimTime at, Affinity affinity, Call call) {
+  schedule_impl(at, affinity, std::move(call));
 }
 
-void Simulator::schedule_impl(SimTime at, Affinity affinity,
-                              EventQueue::Callback fn, bool check_past) {
+Call Simulator::closure_call(Callback fn) {
+  CROUPIER_ASSERT(fn != nullptr);
+  CROUPIER_ASSERT_MSG(!deferring(), "closures are for serial events only");
+  std::uint32_t slot;
+  if (free_closures_.empty()) {
+    slot = static_cast<std::uint32_t>(closures_.size());
+    closures_.push_back(std::move(fn));
+  } else {
+    slot = free_closures_.back();
+    free_closures_.pop_back();
+    closures_[slot] = std::move(fn);
+  }
+  return Call::to<&Simulator::run_closure>(this, slot);
+}
+
+void Simulator::run_closure(Call& call) {
+  const auto slot = static_cast<std::uint32_t>(call.a);
+  Callback fn = std::move(closures_[slot]);
+  closures_[slot] = nullptr;
+  free_closures_.push_back(slot);
+  fn();
+}
+
+void Simulator::schedule_after(Duration delay, Callback fn) {
+  post_after(delay, kSerialAffinity, closure_call(std::move(fn)));
+}
+
+void Simulator::schedule_at(SimTime at, Callback fn) {
+  post_at(at, kSerialAffinity, closure_call(std::move(fn)));
+}
+
+void Simulator::schedule_impl(SimTime at, Affinity affinity, Call call) {
   if (ShardLog* log = active_log()) {
     // Parallel batch: the queue is shared, so the schedule itself becomes
-    // a deferred effect. Re-entering schedule_impl at replay time (the log
-    // is inactive there) repeats the serial-path checks.
-    log->ops.emplace_back(
-        [this, at, affinity, fn = std::move(fn), check_past]() mutable {
-          schedule_impl(at, affinity, std::move(fn), check_past);
-        });
+    // a deferred op. Re-entering schedule_impl at replay time (the log is
+    // inactive there, and now_ is the issuing event's time) repeats the
+    // serial-path checks.
+    log->ops.push_back(
+        Op{Op::Kind::Schedule, at, affinity, std::move(call)});
     return;
   }
-  if (check_past) {
-    CROUPIER_ASSERT_MSG(at >= now_, "cannot schedule into the past");
-  }
+  CROUPIER_ASSERT_MSG(at >= now_, "cannot schedule into the past");
   // While replaying a parallel batch, every deferred schedule must land at
-  // or beyond the lookahead window end; a violation means a latency model
-  // undercut its declared min_latency() and the batch was not causally
-  // closed.
+  // or after the batch's last event time; a violation means a latency
+  // model undercut its declared min_latency() and the batch was not
+  // causally closed.
   CROUPIER_ASSERT_MSG(causal_floor_ == 0 || at >= causal_floor_,
                       "deferred schedule violates the lookahead window");
-  queue_.schedule(at, affinity, std::move(fn));
+  queue_.schedule(at, affinity, std::move(call));
 }
 
-void Simulator::defer(EventQueue::Callback effect) {
+void Simulator::defer(Call effect) {
   if (ShardLog* log = active_log()) {
-    log->ops.push_back(std::move(effect));
+    log->ops.push_back(Op{Op::Kind::Run, 0, kSerialAffinity,
+                          std::move(effect)});
     return;
   }
   effect();
 }
 
+void Simulator::apply(Op& op) {
+  if (op.kind == Op::Kind::Run) {
+    op.call();
+  } else {
+    schedule_impl(op.at, op.affinity, std::move(op.call));
+  }
+}
+
+void Simulator::run_event(EventQueue::Event& ev) {
+  CROUPIER_ASSERT(ev.time >= now_);
+  now_ = ev.time;
+  ++processed_;
+  ev.call();
+}
+
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  auto fired = queue_.pop();
-  CROUPIER_ASSERT(fired.time >= now_);
-  now_ = fired.time;
-  ++processed_;
-  fired.fn();
+  auto ev = queue_.pop();
+  run_event(ev);
   return true;
 }
 
 void Simulator::run_until(SimTime deadline) {
-  while (!queue_.empty() && queue_.next_time() <= deadline) {
+  for (const EventQueue::Event* head;
+       (head = queue_.peek()) != nullptr && head->time <= deadline;) {
     step();
   }
   if (now_ < deadline) now_ = deadline;

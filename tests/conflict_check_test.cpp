@@ -124,8 +124,7 @@ class ViewHandler final : public net::MessageHandler {
 
 /// Drives one delivery batch through the real parallel engine: nodes 1
 /// and 2 message each other with constant latency, so both deliveries
-/// land at the same timestamp and form a genuine two-event batch
-/// (batch-size-1 runs inline on the serial path and is exempt by design).
+/// land at the same timestamp and form a genuine two-event batch.
 void run_delivery_batch(bool rogue) {
   sim::Simulator simulator;
   net::Network network(simulator,
@@ -146,12 +145,14 @@ void run_delivery_batch(bool rogue) {
   });
 
   sim::ParallelExecutor engine(simulator, {2, sim::msec(50)});
-  simulator.schedule_at(0, sim::Affinity{1}, [&] {
-    network.send(1, 2, std::make_shared<PingMsg>());
-  });
-  simulator.schedule_at(0, sim::Affinity{2}, [&] {
-    network.send(2, 1, std::make_shared<PingMsg>());
-  });
+  // Node a's event sends one ping to node b.
+  const auto ping = [](sim::Call& ev) {
+    static_cast<net::Network*>(ev.target)
+        ->send(static_cast<net::NodeId>(ev.a), static_cast<net::NodeId>(ev.b),
+               std::make_shared<PingMsg>());
+  };
+  simulator.post_at(0, sim::Affinity{1}, sim::Call{ping, &network, 1, 2});
+  simulator.post_at(0, sim::Affinity{2}, sim::Call{ping, &network, 2, 1});
   engine.run_until(sim::sec(1));
 }
 

@@ -17,3 +17,7 @@ void on_message(int from) {
   // detlint:allow(cross-shard-mutate) test corpus: waiver grammar check
   buckets_.clear();
 }
+
+void round() {
+  ++next_id_;
+}

@@ -17,3 +17,13 @@ void round() {
 void not_a_handler() {
   sim_.schedule_after(10, 1, [] {});
 }
+
+void on_message() {
+  sim_.post_after(10, 1, Call::to<&Node::fire>(this, 1));
+  sim_.post_at(99, 1, Call::to<&Node::fire>(this, 1));
+  if (!sim_.deferring()) {
+    sim_.post_at(99, 1, Call::to<&Node::fire>(this, 1));
+  }
+  // detlint:allow(naked-schedule) fixture: a typed re-arm, waived
+  sim_.post_after(10, 1, Call::to<&Node::fire>(this, 1));
+}

@@ -112,9 +112,11 @@ TEST(DetlintRules, CrossShardMutate) {
   // on_message; helper_serial_only (line 6) is identical code but
   // unreachable from any node-affine root, so it stays quiet. The
   // defer() argument (13), the !deferring() then-block (15), the
-  // read-only lookup (12), and the waived clear (18) are all clean.
-  EXPECT_EQ(lines_of(fs, "cross-shard-mutate"), (std::vector<int>{5, 9, 11}));
-  EXPECT_EQ(fs.size(), 3u);
+  // read-only lookup (12), and the waived clear (18) are all clean. The
+  // round bumps a shared id counter, as the event queue keeps one (22).
+  EXPECT_EQ(lines_of(fs, "cross-shard-mutate"),
+            (std::vector<int>{5, 9, 11, 22}));
+  EXPECT_EQ(fs.size(), 4u);
   for (const auto& f : fs) {
     if (f.line == 9) {
       EXPECT_EQ(f.function, "on_message");
@@ -148,12 +150,18 @@ TEST(DetlintRules, NakedSchedule) {
   // The raw schedule (6), the id-storing schedule_at (7), and the
   // cancel (8) fire inside the protocol round; the guarded (10),
   // deferred (12), waived (14), and non-handler (18) calls are clean.
-  EXPECT_EQ(lines_of(fs, "naked-schedule"), (std::vector<int>{6, 7, 8}));
-  EXPECT_EQ(fs.size(), 3u);
+  // The typed entry points in on_message: post_after (22) and post_at
+  // (23) fire; the guarded (25) and waived (28) posts are clean.
+  EXPECT_EQ(lines_of(fs, "naked-schedule"),
+            (std::vector<int>{6, 7, 8, 22, 23}));
+  EXPECT_EQ(fs.size(), 5u);
   for (const auto& f : fs) {
-    EXPECT_EQ(f.function, "round");
+    EXPECT_EQ(f.function, f.line < 20 ? "round" : "on_message");
     if (f.line == 8) {
       EXPECT_NE(f.message.find("cancel"), std::string::npos);
+    }
+    if (f.line == 22) {
+      EXPECT_NE(f.message.find("post_after"), std::string::npos);
     }
   }
 }

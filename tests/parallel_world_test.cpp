@@ -17,7 +17,7 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -30,32 +30,49 @@
 namespace croupier {
 namespace {
 
+/// A simulator whose node-affine events each defer one effect: appending
+/// the event's tag to `effects`, so the replay order is observable.
+struct DeferringEvents {
+  sim::Simulator sim;
+  std::vector<int> effects;
+
+  /// The typed event of a node: defers appending `tag`.
+  sim::Call event(int tag) {
+    return sim::Call::to<&DeferringEvents::fire>(
+        this, static_cast<std::uint64_t>(tag));
+  }
+  void fire(sim::Call& ev) {
+    sim.defer(sim::Call::to<&DeferringEvents::effect>(this, ev.a));
+  }
+  void effect(sim::Call& op) { effects.push_back(static_cast<int>(op.a)); }
+};
+
 TEST(EventQueueAffinity, DefaultsToSerialAndPreservesFifoTieOrder) {
+  DeferringEvents d;  // outside a batch the effects run at once
   sim::EventQueue q;
-  std::vector<int> fired;
-  q.schedule(10, [&] { fired.push_back(1); });
-  q.schedule(10, sim::Affinity{7}, [&] { fired.push_back(2); });
-  q.schedule(5, sim::Affinity{3}, [&] { fired.push_back(3); });
+  q.schedule(10, d.event(1));
+  q.schedule(10, sim::Affinity{7}, d.event(2));
+  q.schedule(5, sim::Affinity{3}, d.event(3));
 
   EXPECT_EQ(q.next_time(), 5u);
   EXPECT_EQ(q.next_affinity(), 3u);
   auto first = q.pop();
   EXPECT_EQ(first.affinity, 3u);
-  first.fn();
+  first.call();
 
   // Equal timestamps fire in scheduling order regardless of affinity.
   EXPECT_EQ(q.next_affinity(), sim::kSerialAffinity);
-  q.pop().fn();
+  q.pop().call();
   EXPECT_EQ(q.next_affinity(), 7u);
-  q.pop().fn();
-  EXPECT_EQ(fired, (std::vector<int>{3, 1, 2}));
+  q.pop().call();
+  EXPECT_EQ(d.effects, (std::vector<int>{3, 1, 2}));
 }
 
 TEST(SimulatorDefer, RunsImmediatelyOutsideParallelBatches) {
-  sim::Simulator sim;
-  bool ran = false;
-  sim.defer([&] { ran = true; });
-  EXPECT_TRUE(ran);
+  DeferringEvents d;
+  auto ev = d.event(5);
+  ev();
+  EXPECT_EQ(d.effects, (std::vector<int>{5}));
 }
 
 TEST(ShardOf, IsAPureFunctionOfAffinityAndJobs) {
@@ -71,20 +88,52 @@ TEST(ParallelExecutorEngine, SameTimestampEventsMergeInScheduleOrder) {
   // shard/merge machinery; their deferred effects must replay in
   // scheduling order whatever the worker count.
   for (std::size_t jobs : {1u, 4u}) {
-    sim::Simulator sim;
-    std::vector<int> effects;
+    DeferringEvents d;
     for (int i = 0; i < 8; ++i) {
-      sim.schedule_at(100, static_cast<sim::Affinity>(i + 1),
-                      [&sim, &effects, i] {
-                        sim.defer([&effects, i] { effects.push_back(i); });
-                      });
+      d.sim.post_at(100, static_cast<sim::Affinity>(i + 1), d.event(i));
     }
-    sim::ParallelExecutor engine(sim, {jobs, sim::msec(1)});
+    sim::ParallelExecutor engine(d.sim, {jobs, sim::msec(1)});
     engine.run_until(200);
-    EXPECT_EQ(effects, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}))
+    EXPECT_EQ(d.effects, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}))
         << "jobs=" << jobs;
-    EXPECT_EQ(sim.events_processed(), 8u);
-    EXPECT_EQ(sim.now(), 200u);
+    EXPECT_EQ(d.sim.events_processed(), 8u);
+    EXPECT_EQ(d.sim.now(), 200u);
+  }
+}
+
+TEST(ParallelExecutorEngine, SameTimeEventsOnDifferentBucketsReplayInIdOrder) {
+  // 64 nodes spread over every bucket, three timestamps inside one
+  // window, ids issued in an order unrelated to the buckets: each thread
+  // pops only its own buckets, yet the replay must follow (time, id) at
+  // world_jobs 1 (sequential), 2 and 4, and with one worker.
+  constexpr int kEvents = 64;
+  const auto affinity = [](int i) {
+    return static_cast<sim::Affinity>(1 + (i * 37) % 97);
+  };
+  const auto at = [](int i) { return static_cast<sim::SimTime>(100 + i % 3); };
+  for (const std::size_t buckets : {8u, 16u, 32u}) {
+    std::set<std::size_t> used;
+    for (int i = 0; i < kEvents; ++i) {
+      used.insert(sim::shard_of(affinity(i), buckets));
+    }
+    ASSERT_GT(used.size(), buckets / 2) << "buckets=" << buckets;
+  }
+  std::vector<int> expected;
+  for (int phase = 0; phase < 3; ++phase) {
+    for (int i = phase; i < kEvents; i += 3) expected.push_back(i);
+  }
+  for (const std::size_t jobs : {0u, 1u, 2u, 4u}) {
+    DeferringEvents d;
+    for (int i = 0; i < kEvents; ++i) d.sim.post_at(at(i), affinity(i), d.event(i));
+    if (jobs == 0) {
+      d.sim.run_until(sim::msec(1));
+    } else {
+      sim::ParallelExecutor engine(d.sim, {jobs, sim::msec(1)});
+      engine.run_until(sim::msec(1));
+      EXPECT_EQ(engine.stats().batches, 1u) << "jobs=" << jobs;
+    }
+    EXPECT_EQ(d.effects, expected) << "jobs=" << jobs;
+    EXPECT_EQ(d.sim.events_processed(), static_cast<std::uint64_t>(kEvents));
   }
 }
 
@@ -102,49 +151,60 @@ struct SkewLog {
 /// event appends to its node's own state inline, defers two effects and
 /// schedules a follow-up two windows later, so every batch replays
 /// schedules whose ids decide the next batch's tie order.
-SkewLog run_skewed(std::size_t jobs) {
-  constexpr int kNodes = 21;
-  constexpr int kGenerations = 6;
+struct SkewRun {
+  static constexpr int kNodes = 21;
+  static constexpr int kGenerations = 6;
   sim::Simulator sim;
   SkewLog log;
-  log.per_node.resize(kNodes + 1);
-  std::function<void(sim::Affinity, int, int)> fire =
-      [&](sim::Affinity node, int tag, int generation) {
-        log.per_node[node].push_back(tag);
-        sim.defer([&log, &sim, tag] {
-          log.effects.emplace_back(sim.now(), tag);
-        });
-        sim.defer([&log, &sim, tag] {
-          log.effects.emplace_back(sim.now(), -tag);
-        });
-        if (generation + 1 < kGenerations) {
-          sim.schedule_after(sim::msec(2), node,
-                             [&fire, node, tag, generation] {
-                               fire(node, tag + 1000, generation + 1);
-                             });
-        }
-      };
+
+  /// The typed event of `node`: a = node, b = generation << 32 | tag.
+  sim::Call event(sim::Affinity node, int tag, int generation) {
+    return sim::Call::to<&SkewRun::fire>(
+        this, node,
+        (static_cast<std::uint64_t>(generation) << 32) |
+            static_cast<std::uint32_t>(tag));
+  }
+  void fire(sim::Call& ev) {
+    const sim::Affinity node = ev.a;
+    const auto tag = static_cast<int>(static_cast<std::uint32_t>(ev.b));
+    const auto generation = static_cast<int>(ev.b >> 32);
+    log.per_node[node].push_back(tag);
+    sim.defer(sim::Call::to<&SkewRun::effect>(
+        this, static_cast<std::uint64_t>(tag)));
+    sim.defer(sim::Call::to<&SkewRun::effect>(
+        this, static_cast<std::uint64_t>(-tag)));
+    if (generation + 1 < kGenerations) {
+      sim.post_after(sim::msec(2), node,
+                     event(node, tag + 1000, generation + 1));
+    }
+  }
+  void effect(sim::Call& op) {
+    log.effects.emplace_back(sim.now(), static_cast<int>(op.a));
+  }
+};
+
+SkewLog run_skewed(std::size_t jobs) {
+  SkewRun run;
+  run.log.per_node.resize(SkewRun::kNodes + 1);
   int tag = 0;
   for (int i = 0; i < 40; ++i) {
     // Same-time pairs and a spread inside one 1 ms window.
-    sim.schedule_at(100 + i / 2, 1, [&fire, t = ++tag] { fire(1, t, 0); });
+    run.sim.post_at(100 + i / 2, 1, run.event(1, ++tag, 0));
   }
-  for (int node = 2; node <= kNodes; ++node) {
-    sim.schedule_at(100 + node, static_cast<sim::Affinity>(node),
-                    [&fire, node, t = ++tag] {
-                      fire(static_cast<sim::Affinity>(node), t, 0);
-                    });
+  for (int node = 2; node <= SkewRun::kNodes; ++node) {
+    const auto affinity = static_cast<sim::Affinity>(node);
+    run.sim.post_at(100 + node, affinity, run.event(affinity, ++tag, 0));
   }
   if (jobs == 0) {
-    sim.run_until(sim::msec(20));
+    run.sim.run_until(sim::msec(20));
   } else {
-    sim::ParallelExecutor engine(sim, {jobs, sim::msec(1)});
+    sim::ParallelExecutor engine(run.sim, {jobs, sim::msec(1)});
     engine.run_until(sim::msec(20));
     EXPECT_GT(engine.stats().batches, 0u);
     EXPECT_GE(engine.stats().max_batch, 60u);
   }
-  log.events = sim.events_processed();
-  return log;
+  run.log.events = run.sim.events_processed();
+  return run.log;
 }
 
 TEST(ParallelExecutorEngine, SkewedBatchKeepsPerNodeOrder) {
@@ -162,15 +222,13 @@ TEST(ParallelExecutorEngine, SkewedBatchKeepsPerNodeOrder) {
 TEST(ParallelExecutorEngine, IdleWorkersPark) {
   // Between run_until calls the workers must block, not spin: a trial
   // pool hands their cores to other trials.
-  sim::Simulator sim;
-  int effects = 0;
+  DeferringEvents d;
   for (int i = 0; i < 64; ++i) {
-    sim.schedule_at(100 + i, static_cast<sim::Affinity>(i + 1),
-                    [&sim, &effects] { sim.defer([&effects] { ++effects; }); });
+    d.sim.post_at(100 + i, static_cast<sim::Affinity>(i + 1), d.event(i));
   }
-  sim::ParallelExecutor engine(sim, {4, sim::msec(1)});
+  sim::ParallelExecutor engine(d.sim, {4, sim::msec(1)});
   engine.run_until(sim::msec(5));
-  ASSERT_EQ(effects, 64);
+  ASSERT_EQ(d.effects.size(), 64u);
 
   const auto cpu_seconds = [] {
     rusage usage{};
@@ -208,10 +266,18 @@ struct RunFingerprint {
   bool operator==(const RunFingerprint&) const = default;
 };
 
+/// How a run is driven: World::run_until (the engine world_jobs picks),
+/// or Simulator::run_until (always the sequential loop).
+enum class Drive { World, Simulator };
+
 RunFingerprint run_spec(const run::ExperimentSpec& spec, std::uint64_t seed,
-                        std::size_t world_jobs) {
+                        std::size_t world_jobs, Drive drive = Drive::World) {
   run::Experiment experiment(spec, seed, world_jobs);
-  experiment.run();
+  if (drive == Drive::World) {
+    experiment.run();
+  } else {
+    experiment.world().simulator().run_until(spec.duration());
+  }
   RunFingerprint fp;
   if (experiment.estimation() != nullptr) {
     for (const auto& p : experiment.estimation()->series()) {
@@ -438,6 +504,22 @@ TEST(ParallelWorldDeterminism, HubAdversaryUnderGozar) {
       "protocol=gozar nodes=250 ratio=0.2 adversary=hubs:2 "
       "record=randomness record-every=10 duration=40");
   expect_engine_equivalence(spec, 53);
+}
+
+TEST(ParallelWorldEngine, SimulatorRunUntilSeesBucketedEvents) {
+  // world_jobs=4 splits the node-affine events over per-bucket heaps;
+  // the sequential loop driving that same world must run the same
+  // events in the same order as the parallel engine does — and as a
+  // world_jobs=1 world does.
+  const auto spec = run::ExperimentSpec::parse(
+      "protocol=croupier nodes=300 ratio=0.2 churn=0.02 churn-at=10 "
+      "duration=30");
+  const RunFingerprint engine = run_spec(spec, 17, 4);
+  const RunFingerprint simulator = run_spec(spec, 17, 4, Drive::Simulator);
+  ASSERT_FALSE(engine.series.empty());
+  EXPECT_GT(engine.events, 0u);
+  EXPECT_TRUE(engine == simulator);
+  EXPECT_TRUE(engine == run_spec(spec, 17, 1));
 }
 
 TEST(ParallelWorldEngine, ReportsBatchingStats) {

@@ -17,6 +17,18 @@
 namespace croupier::sim {
 namespace {
 
+/// Typed event body: appends its argument to the vector<int> it targets.
+void append_arg(Call& call) {
+  static_cast<std::vector<int>*>(call.target)
+      ->push_back(static_cast<int>(call.a));
+}
+
+Call append(std::vector<int>& out, int value) {
+  return Call{&append_arg, &out, static_cast<std::uint64_t>(value)};
+}
+
+void no_op(Call& /*call*/) {}
+
 TEST(EventQueue, StartsEmpty) {
   EventQueue q;
   EXPECT_TRUE(q.empty());
@@ -26,10 +38,10 @@ TEST(EventQueue, StartsEmpty) {
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
   std::vector<int> fired;
-  q.schedule(30, [&] { fired.push_back(3); });
-  q.schedule(10, [&] { fired.push_back(1); });
-  q.schedule(20, [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop().fn();
+  q.schedule(30, append(fired, 3));
+  q.schedule(10, append(fired, 1));
+  q.schedule(20, append(fired, 2));
+  while (!q.empty()) q.pop().call();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
@@ -37,9 +49,9 @@ TEST(EventQueue, EqualTimesFireInScheduleOrder) {
   EventQueue q;
   std::vector<int> fired;
   for (int i = 0; i < 10; ++i) {
-    q.schedule(5, [&fired, i] { fired.push_back(i); });
+    q.schedule(5, append(fired, i));
   }
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.pop().call();
   std::vector<int> expected(10);
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(fired, expected);
@@ -47,8 +59,8 @@ TEST(EventQueue, EqualTimesFireInScheduleOrder) {
 
 TEST(EventQueue, SizeTracksPendingEvents) {
   EventQueue q;
-  q.schedule(1, [] {});
-  q.schedule(2, [] {});
+  q.schedule(1, Call{&no_op});
+  q.schedule(2, Affinity{4}, Call{&no_op});
   EXPECT_EQ(q.size(), 2u);
   q.pop();
   EXPECT_EQ(q.size(), 1u);
@@ -67,7 +79,7 @@ TEST(EventQueue, InterleavedSchedulesAndPopsKeepTimeThenFifoOrder) {
     if (pending.empty() || rng.uniform(3) != 0) {
       const SimTime at = rng.uniform(50);
       const int index = next++;
-      q.schedule(at, [] {});
+      q.schedule(at, Call{&no_op});
       pending.emplace(at, index);
       continue;
     }
@@ -79,6 +91,61 @@ TEST(EventQueue, InterleavedSchedulesAndPopsKeepTimeThenFifoOrder) {
     pending.erase(pending.begin());
   }
   EXPECT_EQ(q.size(), pending.size());
+}
+
+TEST(EventQueue, BucketsKeepTheTotalOrder) {
+  // The same schedule into one bucket, into seven, and re-split from one
+  // to five halfway: every queue pops the same (time, id) sequence, with
+  // serial and node-affine events interleaved.
+  EventQueue one;
+  EventQueue seven(7);
+  EventQueue resplit;
+  RngStream rng(11);
+  for (int i = 0; i < 500; ++i) {
+    const SimTime at = rng.uniform(40);
+    const Affinity affinity = rng.uniform(4) == 0 ? kSerialAffinity
+                                                  : 1 + rng.uniform(60);
+    for (EventQueue* q : {&one, &seven, &resplit}) {
+      q->schedule(at, affinity, Call{&no_op});
+    }
+    if (i == 250) resplit.set_buckets(5);
+  }
+  EXPECT_EQ(seven.buckets(), 7u);
+  EXPECT_EQ(resplit.buckets(), 5u);
+  while (!one.empty()) {
+    const auto expected = one.pop();
+    for (EventQueue* q : {&seven, &resplit}) {
+      ASSERT_EQ(q->next_time(), expected.time);
+      const auto ev = q->pop();
+      ASSERT_EQ(ev.id, expected.id);
+      ASSERT_EQ(ev.affinity, expected.affinity);
+    }
+  }
+  EXPECT_TRUE(seven.empty());
+  EXPECT_TRUE(resplit.empty());
+}
+
+TEST(EventQueue, PopBelowStopsAtTheLimit) {
+  EventQueue q(2);
+  std::vector<int> fired;
+  // Affinities 1..6 over two buckets; times 10, 20, 30 twice over.
+  for (int i = 0; i < 6; ++i) {
+    q.schedule(static_cast<SimTime>(10 * (1 + i % 3)),
+               static_cast<Affinity>(i + 1), append(fired, i));
+  }
+  const EventQueue::Key limit{20, 0};  // everything before time 20
+  EventQueue::Event ev{};
+  for (std::size_t b = 0; b < q.buckets(); ++b) {
+    while (q.pop_below(b, limit, ev)) {
+      EXPECT_LT(ev.time, 20u);
+      ev.call();
+    }
+    EXPECT_GE(q.bucket_head(b), limit);
+  }
+  std::sort(fired.begin(), fired.end());
+  EXPECT_EQ(fired, (std::vector<int>{0, 3}));
+  EXPECT_EQ(q.size(), 4u);
+  EXPECT_EQ(q.serial_head(), EventQueue::kNoKey);
 }
 
 TEST(Simulator, ClockAdvancesToEventTime) {

@@ -2,6 +2,9 @@
 // processes (joins, churn, catastrophe), recorders.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "runtime/recorder.hpp"
 #include "runtime/scenario.hpp"
 #include "test_util.hpp"
@@ -300,6 +303,33 @@ TEST(Recorder, GraphStatsSeries) {
   EXPECT_GT(last.edges, 0u);
   EXPECT_GT(last.avg_path_length, 1.0);
   EXPECT_LT(last.avg_path_length, 10.0);
+}
+
+TEST(Recorder, StopRestartAndDestroyKeepOneTickChain) {
+  // Recorders share the scenario processes' arming guard. Stopped at
+  // 2.5 s and restarted for 3 s while the old chain's 3 s tick is still
+  // queued, the recorder must sample once a second — not on two chains —
+  // and a recorder destroyed with a tick queued must leave it inert.
+  auto world = make_world(25);
+  populate(world, 5, 20);
+  EstimationRecorder rec(world, {sim::sec(1), 2});
+  rec.start(sim::sec(1));
+  world.simulator().run_until(sim::msec(2500));
+  rec.stop();
+  EXPECT_FALSE(rec.running());
+  rec.start(sim::sec(3));
+  EXPECT_TRUE(rec.running());
+  world.simulator().run_until(sim::msec(10500));
+  std::vector<double> times;
+  for (const auto& p : rec.series()) times.push_back(p.t_seconds);
+  EXPECT_EQ(times, (std::vector<double>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+
+  auto doomed = std::make_unique<EstimationRecorder>(
+      world, EstimationRecorder::Options{sim::sec(1), 2});
+  doomed->start(sim::sec(11));
+  doomed.reset();
+  world.simulator().run_until(sim::msec(12500));
+  EXPECT_EQ(rec.series().size(), 12u);
 }
 
 TEST(World, SnapshotUsableOnlyFiltersDeadTargets) {

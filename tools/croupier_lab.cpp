@@ -62,7 +62,9 @@ constexpr const char* kUsageTail =
     "(concurrent trials x world shards), resident memory and, under\n"
     "--world-jobs>1, the engine's batches and phase times are reported\n"
     "on stderr, so speedups and footprints are observable without\n"
-    "external tooling.\n";
+    "external tooling. Engine phases, on the engine thread: drain (the\n"
+    "bucket-head scan that sets each batch's limit), execute (its own\n"
+    "buckets, their pops included), wait (for the workers), replay.\n";
 
 void print_usage() {
   std::fputs(kUsageHead, stdout);

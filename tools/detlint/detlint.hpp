@@ -44,16 +44,17 @@
 //                   (protocol on_message/round, Network send/deliver, the
 //                   round driver) touches cross-node engine state (the
 //                   traffic meter, drop counters, shared msg-id counter,
-//                   token buckets, the loss/latency RNG, the node table,
+//                   shared event/node id counters, token buckets, the loss/latency RNG, the node table,
 //                   the bootstrap oracle) outside a Simulator::defer
 //                   argument or a `!deferring()` serial guard. Such a
 //                   write lands mid-batch on a worker thread and its
 //                   order relative to sibling shards is a scheduling
 //                   accident — the exact hazard the byte-identity
 //                   contract bans.
-//   naked-schedule  Simulator::schedule_after/schedule_at (or a cancel
-//                   member call) reachable from shard context without
-//                   the deferring() guard. Inside a parallel batch
+//   naked-schedule  Simulator::schedule_after/schedule_at, or the typed
+//                   post_after/post_at (or a cancel member call),
+//                   reachable from shard context without the
+//                   deferring() guard. Inside a parallel batch
 //                   schedule_impl auto-defers the schedule to the
 //                   replay, where the event gets its sequence number, so
 //                   a raw call hides that ordering step. The simulator

@@ -742,6 +742,7 @@ const std::vector<ShardMarker>& shard_markers() {
       {"drops_", true, "the global drop counters"},
       {"meter_", true, "the global traffic meter"},
       {"next_msg_id_", true, "the shared message-id counter"},
+      {"next_id_", true, "a shared id counter (event ids, node ids)"},
       {"buckets_", true, "the per-sender token buckets (serial-half state)"},
       {"rng_", true, "the shared loss/latency RNG stream"},
       {"nodes_", false, "the node table"},
@@ -795,7 +796,8 @@ void scan_shard_body(FileScan& fs, const FunctionDef& def) {
     }
   }
 
-  for (const char* sched : {"schedule_after", "schedule_at"}) {
+  for (const char* sched :
+       {"schedule_after", "schedule_at", "post_after", "post_at"}) {
     for (std::size_t at = find_word(code, sched, def.body_begin);
          at != std::string::npos && at < def.body_end;
          at = find_word(code, sched, at + 1)) {
